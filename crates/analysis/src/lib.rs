@@ -13,10 +13,10 @@
 //! * [`RangeAnalysis`] — demand-driven value ranges for the array-subscript
 //!   theorems (paper §3);
 //! * [`Freq`] — execution-frequency estimation for order determination
-//!   (paper §2.2);
-//! * [`AnalysisCache`] — per-function memoization of [`Cfg`](sxe_ir::Cfg),
-//!   [`Liveness`], and [`UdDu`] with generation-based invalidation, so
-//!   pipeline stages stop recomputing facts over unchanged functions.
+//!   (paper §2.2).
+//!
+//! Each result describes the function as it was when computed; callers
+//! recompute after rewriting it.
 //!
 //! ```
 //! use sxe_ir::{parse_function, Cfg};
@@ -33,7 +33,6 @@
 #![warn(missing_debug_implementations)]
 
 mod bitset;
-pub mod cache;
 pub mod dataflow;
 mod facts;
 mod flowrange;
@@ -43,7 +42,6 @@ mod range;
 mod udu;
 
 pub use bitset::BitSet;
-pub use cache::{AnalysisCache, CacheStats};
 pub use facts::{AvailableExt, FactsWalker};
 pub use freq::{Freq, LOOP_MULTIPLIER};
 pub use flowrange::FlowRanges;

@@ -82,16 +82,12 @@ pub fn infer_kinds(f: &Function) -> Result<Vec<RegKind>, String> {
     Ok(kinds)
 }
 
-/// Refine call-result kinds using callee signatures from the module.
-fn refine_call_kinds(
-    m: &sxe_ir::Module,
-    f: &Function,
-    kinds: &mut [RegKind],
-) {
+/// Refine call-result kinds using the callee return types `rets` (indexed
+/// by [`sxe_ir::FuncId`]).
+fn refine_call_kinds(f: &Function, rets: &[Option<Ty>], kinds: &mut [RegKind]) {
     for (_, inst) in f.insts() {
         if let Inst::Call { dst: Some(d), func, .. } = inst {
-            let ret = m.function(*func).ret;
-            kinds[d.index()] = match ret {
+            kinds[d.index()] = match rets[func.index()] {
                 Some(Ty::I8 | Ty::I16 | Ty::I32) => RegKind::Int32,
                 Some(Ty::F64) => RegKind::Float,
                 _ => RegKind::Wide,
@@ -218,13 +214,29 @@ fn convert_function_with_kinds(
 /// # Panics
 /// Panics if register kinds cannot be inferred for some function.
 pub fn convert_module(m: &mut sxe_ir::Module, target: Target, strategy: GenStrategy) -> usize {
+    let rets: Vec<Option<Ty>> = m.functions.iter().map(|g| g.ret).collect();
     let mut total = 0;
-    for fi in 0..m.functions.len() {
-        let mut kinds = infer_kinds(&m.functions[fi]).expect("consistent kinds");
-        refine_call_kinds(m, &m.functions[fi], &mut kinds);
-        total += convert_function_with_kinds(&mut m.functions[fi], target, strategy, Some(kinds));
+    for f in &mut m.functions {
+        let mut kinds = infer_kinds(f).expect("consistent kinds");
+        refine_call_kinds(f, &rets, &mut kinds);
+        total += convert_function_with_kinds(f, target, strategy, Some(kinds));
+        record_call_returns(f, &rets);
     }
     total
+}
+
+/// Record each call's callee return type on the instruction, for the
+/// step-3 facts. Done after generation: the converted module is the
+/// reference step 3 must preserve, and conversion itself reads every
+/// integer result as arriving sign-extended.
+fn record_call_returns(f: &mut Function, rets: &[Option<Ty>]) {
+    for block in &mut f.blocks {
+        for inst in &mut block.insts {
+            if let Inst::Call { func, ret, .. } = inst {
+                *ret = rets[func.index()];
+            }
+        }
+    }
 }
 
 /// Facts-aware check used by tests: whether a function still computes the
@@ -266,7 +278,27 @@ pub fn param_fact(ty: Ty, w: Width) -> ExtFacts {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use sxe_ir::{parse_function, verify_function, BlockId};
+    use sxe_ir::{parse_function, parse_module, verify_function, BlockId};
+
+    #[test]
+    fn module_conversion_records_callee_return_types() {
+        let mut m = parse_module(
+            "func @f() -> i64 {\n\
+             b0:\n    r0 = call @w()\n    r1 = call @n()\n    ret r0\n}\n\
+             func @w() -> i64 {\nb0:\n    r0 = const.i64 1\n    ret r0\n}\n\
+             func @n() -> i32 {\nb0:\n    r0 = const.i32 1\n    ret r0\n}\n",
+        )
+        .unwrap();
+        convert_module(&mut m, Target::Ia64, GenStrategy::AfterDef);
+        let rets: Vec<Option<Ty>> = m.functions[0]
+            .insts()
+            .filter_map(|(_, i)| match i {
+                Inst::Call { ret, .. } => Some(*ret),
+                _ => None,
+            })
+            .collect();
+        assert_eq!(rets, [Some(Ty::I64), Some(Ty::I32)]);
+    }
 
     #[test]
     fn gen_def_extends_after_arith() {

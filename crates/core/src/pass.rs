@@ -3,7 +3,7 @@
 
 use std::time::{Duration, Instant};
 
-use sxe_analysis::{AnalysisCache, FlowRanges, Freq, UdDu};
+use sxe_analysis::{FlowRanges, Freq, UdDu};
 use sxe_ir::{Budget, Cfg, Function, Inst, InstId, Module};
 
 use crate::config::{SxeConfig, SxeStats};
@@ -11,25 +11,6 @@ use crate::eliminate::{remove_dummies, run_elimination_budgeted, ElimConfig};
 use crate::insertion::simple_insertion;
 use crate::order::{elimination_order, static_freq};
 use crate::pde::pde_insertion;
-
-/// Wall-clock breakdown of step 3, mirroring the paper's Table 3 split
-/// between "sign extension optimizations" and "UD/DU chain creation".
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct Step3Timing {
-    /// Time spent building the UD/DU chains.
-    pub chain_creation: Duration,
-    /// Time spent in the sign-extension optimization proper (insertion,
-    /// order determination, elimination, dummy removal).
-    pub sxe_opt: Duration,
-}
-
-impl Step3Timing {
-    /// Accumulate another function's timing.
-    pub fn merge(&mut self, o: Step3Timing) {
-        self.chain_creation += o.chain_creation;
-        self.sxe_opt += o.sxe_opt;
-    }
-}
 
 /// Run the sign-extension optimization (Fig 5 step 3) on one function
 /// that has already been converted to 64-bit form (step 1) and generally
@@ -39,44 +20,24 @@ impl Step3Timing {
 /// order determination (the paper's interpreter profile); it must match
 /// the function's current block count or it is ignored.
 pub fn run_step3(f: &mut Function, config: &SxeConfig, profile: Option<&[u64]>) -> SxeStats {
-    run_step3_timed(f, config, profile).0
-}
-
-/// Like [`run_step3`], additionally reporting the Table 3 timing split.
-pub fn run_step3_timed(
-    f: &mut Function,
-    config: &SxeConfig,
-    profile: Option<&[u64]>,
-) -> (SxeStats, Step3Timing) {
     let variant = config.variant;
-    let mut stats = SxeStats::default();
-    let mut timing = Step3Timing::default();
-
     if variant.first_algorithm() {
-        let t0 = Instant::now();
-        stats = step3_first(f, config);
-        timing.sxe_opt = t0.elapsed();
-        return (stats, timing);
+        return step3_first(f, config);
     }
+    let mut stats = SxeStats::default();
     if !variant.uses_udu() {
-        return (stats, timing); // baseline / gen-use: no step-3 optimization
+        return stats; // baseline / gen-use: no step-3 optimization
     }
 
-    let t0 = Instant::now();
     let ins = step3_insertion(f, config);
     stats.dummies = ins.dummies;
     stats.inserted = ins.inserted;
     let order = step3_order(f, config, profile);
-    timing.sxe_opt += t0.elapsed();
-
-    let t1 = Instant::now();
     let out = step3_eliminate(f, config, &order, &Budget::unlimited());
     stats.examined = out.examined;
     stats.eliminated = out.eliminated;
     stats.eliminated_via_array = out.via_array;
-    timing.chain_creation = out.chain_creation;
-    timing.sxe_opt += t1.elapsed().saturating_sub(out.chain_creation);
-    (stats, timing)
+    stats
 }
 
 /// Counters from the [`step3_insertion`] stage.
@@ -124,56 +85,24 @@ pub fn step3_insertion(f: &mut Function, config: &SxeConfig) -> InsertionOutcome
     InsertionOutcome { dummies, inserted }
 }
 
-/// [`step3_insertion`] that keeps a memoized [`AnalysisCache`] honest:
-/// insertion rewrites `f` whenever it places a marker or extension, so
-/// the function's cache entry is invalidated when (and only when) the
-/// stage changed something.
-pub fn step3_insertion_cached(
-    f: &mut Function,
-    config: &SxeConfig,
-    cache: &mut AnalysisCache,
-) -> InsertionOutcome {
-    let out = step3_insertion(f, config);
-    cache.note_rewrites(&f.name, out.dummies + out.inserted);
-    out
-}
-
 /// Stage (3)-2, standalone: order determination. Returns the extension
 /// sites to examine, hottest-first when the variant orders by frequency,
 /// already filtered to the configured widths. The ids are only valid
 /// until `f` is next mutated.
 #[must_use]
 pub fn step3_order(f: &Function, config: &SxeConfig, profile: Option<&[u64]>) -> Vec<InstId> {
-    order_with(f, config, profile, &Cfg::compute(f))
-}
-
-/// [`step3_order`] drawing the CFG from a memoized [`AnalysisCache`]
-/// instead of recomputing it. The cache entry stays valid afterwards
-/// (ordering does not mutate `f`), so the following
-/// [`step3_eliminate_cached`] gets it for free.
-#[must_use]
-pub fn step3_order_cached(
-    f: &Function,
-    config: &SxeConfig,
-    profile: Option<&[u64]>,
-    cache: &mut AnalysisCache,
-) -> Vec<InstId> {
-    let cfg = cache.cfg(f);
-    order_with(f, config, profile, &cfg)
-}
-
-fn order_with(f: &Function, config: &SxeConfig, profile: Option<&[u64]>, cfg: &Cfg) -> Vec<InstId> {
+    let cfg = Cfg::compute(f);
     let freq_storage: Option<Freq> = if config.variant.order_determination() {
         match profile {
             Some(counts) if config.use_profile && counts.len() == f.blocks.len() => {
                 Some(Freq::from_counts(counts))
             }
-            _ => Some(static_freq(f, cfg)),
+            _ => Some(static_freq(f, &cfg)),
         }
     } else {
         None
     };
-    let mut order = elimination_order(f, cfg, freq_storage.as_ref());
+    let mut order = elimination_order(f, &cfg, freq_storage.as_ref());
     order.retain(|&id| match f.inst(id) {
         Inst::Extend { from, .. } => config.widths.contains(from),
         _ => false,
@@ -207,45 +136,13 @@ pub fn step3_eliminate(
     // incrementally through the eliminations.
     let t_chain = Instant::now();
     let cfg = Cfg::compute(f);
-    let udu = UdDu::compute(f, &cfg);
+    let mut udu = UdDu::compute(f, &cfg);
     let chain_creation = t_chain.elapsed();
-    eliminate_with(f, config, order, budget, &cfg, udu, chain_creation)
-}
 
-/// [`step3_eliminate`] drawing the CFG and UD/DU chains from a memoized
-/// [`AnalysisCache`]. The CFG is typically a hit left behind by
-/// [`step3_order_cached`]; the chains are moved out of the cache because
-/// elimination maintains them incrementally while rewriting. The cache
-/// entry is invalidated afterwards — elimination rewrites `f`.
-pub fn step3_eliminate_cached(
-    f: &mut Function,
-    config: &SxeConfig,
-    order: &[InstId],
-    budget: &Budget,
-    cache: &mut AnalysisCache,
-) -> ElimOutcome {
-    let t_chain = Instant::now();
-    let cfg = cache.cfg(f);
-    let udu = cache.take_udu(f);
-    let chain_creation = t_chain.elapsed();
-    let out = eliminate_with(f, config, order, budget, &cfg, udu, chain_creation);
-    cache.invalidate(&f.name);
-    out
-}
-
-fn eliminate_with(
-    f: &mut Function,
-    config: &SxeConfig,
-    order: &[InstId],
-    budget: &Budget,
-    cfg: &Cfg,
-    mut udu: UdDu,
-    chain_creation: Duration,
-) -> ElimOutcome {
     // Flow-sensitive interval analysis: intervals of low-32 values are
     // unaffected by inserting/removing extensions, so one computation
     // serves every elimination.
-    let flow = FlowRanges::compute(f, cfg);
+    let flow = FlowRanges::compute(f, &cfg);
 
     let ec = ElimConfig {
         target: config.target,
@@ -402,7 +299,7 @@ b2:
         let mut staged = converted();
         let mut mono = converted();
         let config = SxeConfig::for_variant(Variant::All);
-        let (mono_stats, _) = run_step3_timed(&mut mono, &config, None);
+        let mono_stats = run_step3(&mut mono, &config, None);
 
         step3_insertion(&mut staged, &config);
         let order = step3_order(&staged, &config, None);
@@ -410,30 +307,6 @@ b2:
         assert!(!out.exhausted);
         assert_eq!(out.eliminated, mono_stats.eliminated);
         assert_eq!(staged, mono);
-    }
-
-    #[test]
-    fn cached_staged_api_matches_uncached() {
-        let mut cached = converted();
-        let mut plain = converted();
-        let config = SxeConfig::for_variant(Variant::All);
-
-        step3_insertion(&mut plain, &config);
-        let order = step3_order(&plain, &config, None);
-        let out = step3_eliminate(&mut plain, &config, &order, &Budget::unlimited());
-
-        let mut cache = AnalysisCache::new();
-        step3_insertion_cached(&mut cached, &config, &mut cache);
-        let order_c = step3_order_cached(&cached, &config, None, &mut cache);
-        assert_eq!(order_c, order);
-        let out_c =
-            step3_eliminate_cached(&mut cached, &config, &order_c, &Budget::unlimited(), &mut cache);
-        assert_eq!(out_c.eliminated, out.eliminated);
-        assert_eq!(cached, plain);
-        // Order left a cfg behind for elimination to reuse.
-        assert!(cache.hits() >= 1, "eliminate reused the order stage's cfg");
-        // Elimination rewrote the function, so the entry was invalidated.
-        assert!(cache.generation("kernel") >= 1);
     }
 
     #[test]

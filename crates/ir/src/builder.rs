@@ -191,7 +191,7 @@ impl FunctionBuilder {
     /// Emit a call.
     pub fn call(&mut self, func: FuncId, args: Vec<Reg>, has_result: bool) -> Option<Reg> {
         let dst = has_result.then(|| self.func.new_reg());
-        self.push(Inst::Call { dst, func, args });
+        self.push(Inst::Call { dst, func, args, ret: None });
         dst
     }
 

@@ -50,7 +50,7 @@ impl fmt::Display for InstDisplay<'_> {
             Inst::ArrayStore { array, index, src, elem } => {
                 write!(f, "astore.{elem} {array}, {index}, {src}")
             }
-            Inst::Call { dst, func, ref args } => {
+            Inst::Call { dst, func, ref args, .. } => {
                 if let Some(d) = dst {
                     write!(f, "{d} = ")?;
                 }

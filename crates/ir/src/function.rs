@@ -432,7 +432,7 @@ mod tests {
         let call_dst = m.functions[0].new_reg();
         m.functions[0].blocks[0]
             .insts
-            .insert(1, Inst::Call { dst: Some(call_dst), func: FuncId(2), args: vec![] });
+            .insert(1, Inst::Call { dst: Some(call_dst), func: FuncId(2), args: vec![], ret: None });
         assert_eq!(m.inst_count(), 7);
         let removed = m.remove_function(FuncId(1));
         assert_eq!(removed.name, "b");

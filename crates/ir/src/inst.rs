@@ -352,6 +352,11 @@ pub enum Inst {
         func: FuncId,
         /// Argument registers.
         args: Vec<Reg>,
+        /// The callee's return type, recorded by the 64-bit conversion
+        /// from the module's signatures so the elimination can tell a
+        /// narrow result (sign-extended on arrival) from a wide one.
+        /// `None` until then; neither printed nor parsed.
+        ret: Option<Ty>,
     },
     /// Unconditional branch.
     Br {
@@ -692,11 +697,12 @@ mod tests {
             i,
             Inst::ArrayLoad { dst: Reg(11), array: Reg(12), index: Reg(13), elem: Ty::I32 }
         );
-        let mut c = Inst::Call { dst: Some(Reg(0)), func: FuncId(0), args: vec![Reg(1), Reg(2)] };
+        let mut c =
+            Inst::Call { dst: Some(Reg(0)), func: FuncId(0), args: vec![Reg(1), Reg(2)], ret: None };
         c.map_regs(|r| Reg(r.0 * 2));
         assert_eq!(
             c,
-            Inst::Call { dst: Some(Reg(0)), func: FuncId(0), args: vec![Reg(2), Reg(4)] }
+            Inst::Call { dst: Some(Reg(0)), func: FuncId(0), args: vec![Reg(2), Reg(4)], ret: None }
         );
     }
 

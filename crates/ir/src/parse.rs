@@ -398,7 +398,7 @@ fn parse_call(dst: Option<Reg>, text: &str, line: usize) -> Result<InstAndCallee
         .ok_or_else(|| ParseError { line, message: "expected `)`".into() })?;
     let args = operands(&rest[open + 1..close], line)?;
     Ok((
-        Inst::Call { dst, func: FuncId(u32::MAX), args },
+        Inst::Call { dst, func: FuncId(u32::MAX), args, ret: None },
         Some(PendingCall { func_name: name, line }),
     ))
 }

@@ -366,10 +366,11 @@ pub fn def_facts(
             },
             _ => ExtFacts::NONE,
         },
-        // Calling convention: narrow returns arrive sign-extended. The
-        // callee's return type is not stored in the instruction; callers
-        // that know it can refine, but sign-extension holds for every
-        // integer return in this IR's convention.
+        // Calling convention: narrow returns arrive sign-extended. A call
+        // whose callee is known to return i64 (or f64) delivers a full
+        // 64-bit value with no such guarantee; an unrecorded return type
+        // keeps the narrow reading.
+        Inst::Call { ret: Some(Ty::I64 | Ty::F64), .. } => ExtFacts::NONE,
         Inst::Call { .. } => ExtFacts { sign_extended: wb == 32, upper_zero: false },
         _ => ExtFacts::NONE,
     }
@@ -393,6 +394,15 @@ mod tests {
 
     fn no_src(_: Reg) -> ExtFacts {
         ExtFacts::NONE
+    }
+
+    #[test]
+    fn only_narrow_call_results_arrive_extended() {
+        let call = |ret| Inst::Call { dst: Some(Reg(1)), func: crate::FuncId(0), args: vec![], ret };
+        let facts = |ret| def_facts(&call(ret), Target::Ia64, Width::W32, &mut no_src);
+        assert!(facts(Some(Ty::I32)).sign_extended);
+        assert!(facts(None).sign_extended, "an unrecorded return type reads as narrow");
+        assert_eq!(facts(Some(Ty::I64)), ExtFacts::NONE);
     }
 
     #[test]

@@ -242,7 +242,7 @@ pub fn verify_module(m: &Module) -> Result<(), VerifyError> {
     for (_, f) in m.iter() {
         verify_function(f)?;
         for (at, inst) in f.insts() {
-            if let Inst::Call { dst, func, args } = inst {
+            if let Inst::Call { dst, func, args, .. } = inst {
                 if func.index() >= m.functions.len() {
                     return Err(VerifyError {
                         function: f.name.clone(),

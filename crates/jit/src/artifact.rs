@@ -6,10 +6,8 @@
 //! captures everything the compiled text depends on:
 //!
 //! * **the input functions** — folded in as each
-//!   [`Function::fingerprint`] in module order (the same
-//!   structural fingerprint the [`sxe_analysis::AnalysisCache`]
-//!   validates its facts against, extended here from per-function
-//!   analysis facts to whole compiled functions). Because step-2
+//!   [`Function::fingerprint`] in module order (a structural hash of
+//!   the function's printed form). Because step-2
 //!   inlining can splice one function's body into another, a single
 //!   function's compiled form depends on its callees; combining *every*
 //!   function fingerprint makes the key sound in the presence of
@@ -26,7 +24,7 @@
 //! Deliberately *excluded* from the key — and therefore part of the
 //! caller's contract:
 //!
-//! * `threads`, `cache`, `verify`, `telemetry` — proven byte-identical
+//! * `threads`, `verify`, `telemetry` — proven byte-identical
 //!   by the tier-1 determinism gates, so they cannot change the artifact;
 //! * `fuel` / `time_limit` / `fault_plan` — these *can* change the
 //!   output (budget salvage, contained rollbacks), so **callers must
@@ -151,8 +149,8 @@ pub fn artifact_key_for(compiler: &Compiler, backend: Backend, module: &Module) 
 }
 
 /// [`Function::fingerprint`] of one function — re-exported entry point so
-/// artifact-cache consumers name the same primitive the analysis cache
-/// validates against.
+/// artifact-cache consumers name the same primitive [`module_key`]
+/// folds in.
 #[must_use]
 pub fn function_key(f: &Function) -> u64 {
     f.fingerprint()
@@ -208,13 +206,26 @@ mod tests {
         let plain = Compiler::for_variant(Variant::All);
         let tuned = Compiler::for_variant(Variant::All)
             .with_threads(8)
-            .with_cache(false)
             .with_budget(Some(10), None);
         assert_eq!(
             artifact_key(&plain, &a),
             artifact_key(&tuned, &a),
-            "threads/cache/budget are not part of the artifact identity"
+            "threads/budget are not part of the artifact identity"
         );
+    }
+
+    /// Key values are part of the on-disk contract: an `sxed` cache
+    /// directory written by an earlier build must keep hitting. A change
+    /// here has to come with an [`ARTIFACT_VERSION`] bump.
+    #[test]
+    fn key_values_are_stable_across_builds() {
+        let a = parse_module(A).unwrap();
+        let key = |v, b| artifact_key_for(&Compiler::for_variant(v), b, &a);
+        assert_eq!(ARTIFACT_VERSION, 2);
+        assert_eq!(key(Variant::All, Backend::Vm), 0x5b24_ac9a_5941_d56d);
+        assert_eq!(key(Variant::All, Backend::Native), 0x5d3f_280e_f3fc_6470);
+        assert_eq!(key(Variant::Baseline, Backend::Vm), 0x2fbb_f7d2_5762_fb64);
+        assert_eq!(key(Variant::Baseline, Backend::Native), 0x9a32_d3b7_de83_07dc);
     }
 
     #[test]

@@ -27,7 +27,6 @@
 //!                        (default: unlimited; maps onto the same
 //!                        interior-atomic Budget as --budget)
 //!   --threads <n>        worker threads for sharded compilation (default: 1)
-//!   --no-cache           disable the per-worker analysis cache
 //!   --chaos-seed <n>     inject one deterministic fault derived from n,
 //!                        then check the result with the differential
 //!                        oracle against the unoptimized module
@@ -130,9 +129,6 @@ fn repro_command(opts: &Options, oracle: &OracleConfig) -> String {
     if opts.threads != 1 {
         let _ = write!(c, " --threads {}", opts.threads);
     }
-    if !opts.cache {
-        c.push_str(" --no-cache");
-    }
     if let Some(seed) = opts.chaos_seed {
         let _ = write!(c, " --chaos-seed {seed}");
     }
@@ -165,7 +161,6 @@ struct Options {
     budget: Option<u64>,
     timeout_ms: Option<u64>,
     threads: usize,
-    cache: bool,
     chaos_seed: Option<u64>,
     oracle_runs: Option<usize>,
     oracle_fuel: Option<u64>,
@@ -182,7 +177,7 @@ fn usage() -> &'static str {
      [--workload NAME] [--size N] \
      [--run ENTRY] [--arg N]... [--vm decoded|tree|native] [--no-fallback] \
      [--vm-fuel N] \
-     [--budget FUEL] [--timeout MS] [--threads N] [--no-cache] \
+     [--budget FUEL] [--timeout MS] [--threads N] \
      [--chaos-seed N] [--oracle-runs N] [--oracle-fuel N] [--oracle-seed N] \
      [--trace FILE] [--metrics FILE] \
      [--report] [--stats] [--no-emit] <input.sxe>"
@@ -204,7 +199,6 @@ fn parse_args() -> Result<Options, String> {
         budget: None,
         timeout_ms: None,
         threads: 1,
-        cache: true,
         chaos_seed: None,
         oracle_runs: None,
         oracle_fuel: None,
@@ -286,7 +280,6 @@ fn parse_args() -> Result<Options, String> {
                     .ok_or("--threads needs a worker count >= 1")?;
             }
             "--no-fallback" => opts.fallback = false,
-            "--no-cache" => opts.cache = false,
             "--chaos-seed" => {
                 opts.chaos_seed = Some(
                     it.next()
@@ -387,7 +380,6 @@ fn main() -> ExitCode {
         .target(opts.target)
         .budget(opts.budget, opts.timeout_ms.map(Duration::from_millis))
         .threads(opts.threads)
-        .cache(opts.cache)
         .build();
     compiler.sxe.max_array_len = opts.max_array_len;
     let try_compile = |compiler: &Compiler| -> Result<Compiled, ExitCode> {

@@ -13,17 +13,11 @@
 //! pre-step-3 code once to collect block frequencies, then feeds them to
 //! order determination.
 //!
-//! Two throughput levers ride on top of the pipeline:
-//!
-//! * **sharded compilation** — [`Compiler::threads`] splits the per-
-//!   function work of steps 2 and 3 (and whole modules in
-//!   [`Compiler::compile_batch`]) across a fixed-size worker pool, with a
-//!   merge in function order so the output is byte-identical to a
-//!   sequential run;
-//! * **memoized analyses** — [`Compiler::cache`] keeps each worker's
-//!   [`sxe_analysis::AnalysisCache`] of CFG / liveness / UD/DU facts warm
-//!   across pipeline stages, invalidated whenever a pass rewrites the
-//!   function.
+//! **Sharded compilation** rides on top of the pipeline:
+//! [`Compiler::threads`] splits the per-function work of steps 2 and 3
+//! (and whole modules in [`Compiler::compile_batch`]) across a
+//! fixed-size worker pool, with a merge in function order so the output
+//! is byte-identical to a sequential run.
 //!
 //! Construction goes through [`Compiler::builder`]; fallible entry points
 //! ([`Compiler::try_compile`]) return [`CompileError`] instead of
@@ -55,11 +49,10 @@ pub mod shard;
 use std::fmt;
 use std::time::{Duration, Instant};
 
-use sxe_analysis::{AnalysisCache, CacheStats};
 use sxe_core::{GenStrategy, SxeConfig, SxeStats, Variant};
 use sxe_ir::{verify_function, verify_module, Budget, Function, Module, Target, VerifyError};
 use sxe_opt::{GeneralOpts, OptStats};
-use sxe_telemetry::{ArgValue, Event, Lane};
+use sxe_telemetry::{ArgValue, Event};
 use sxe_vm::Vm;
 
 pub use artifact::Backend;
@@ -157,11 +150,6 @@ pub struct Compiler {
     /// budget and no fault plan the output is byte-identical across
     /// thread counts.
     pub threads: usize,
-    /// Memoize per-function analyses (CFG, liveness, UD/DU chains) across
-    /// pipeline stages, invalidated on every rewrite. On by default; the
-    /// output is identical either way, so `false` is only useful for
-    /// measuring the cache's effect.
-    pub cache: bool,
     /// Telemetry sink: spans around every containment boundary plus the
     /// pipeline's metrics, exported via [`Telemetry::chrome_trace`] /
     /// [`Telemetry::metrics_json`]. Disabled by default (a null sink
@@ -182,7 +170,6 @@ impl Compiler {
             time_limit: None,
             fault_plan: None,
             threads: 1,
-            cache: true,
             telemetry: Telemetry::disabled(),
         }
     }
@@ -219,13 +206,6 @@ impl Compiler {
     #[must_use]
     pub fn with_threads(mut self, threads: usize) -> Compiler {
         self.threads = threads.max(1);
-        self
-    }
-
-    /// Enable or disable the per-worker analysis cache.
-    #[must_use]
-    pub fn with_cache(mut self, cache: bool) -> Compiler {
-        self.cache = cache;
         self
     }
 
@@ -342,7 +322,6 @@ impl Compiler {
             ..CompileReport::default()
         };
         let mut opt_stats = OptStats::default();
-        let mut cache_stats = CacheStats::default();
 
         // Driver-scope trace: one `compile` span enclosing everything,
         // plus one per pipeline section. Worker lanes are accumulated
@@ -384,7 +363,7 @@ impl Compiler {
 
         // Step 2: general optimizations — inlining module-wide, then the
         // scalar fixpoint per function, each function sharded onto the
-        // worker pool with its own harness and analysis cache.
+        // worker pool with its own harness.
         let step2_span = driver.begin("step2-general-opts", "jit");
         let t = Instant::now();
         if let Some(inline_opts) = self.general.inline {
@@ -403,15 +382,13 @@ impl Compiler {
         events.extend(prologue_events);
 
         let general = &self.general;
-        let use_cache = self.cache;
         let step2_target = self.sxe.target;
         let step2 = par_map_mut(&mut module.functions, self.threads, |_, f| {
-            step2_function(f, general, &shared, use_cache, step2_target)
+            step2_function(f, general, &shared, step2_target)
         });
         for out in step2 {
             report.absorb(out.report);
             opt_stats.merge(out.opt);
-            cache_stats.merge(out.cache);
             events.extend(out.events);
         }
         times.general_opts = t.elapsed();
@@ -453,13 +430,12 @@ impl Compiler {
         let config = &config;
         let step3 = par_map_mut(&mut module.functions, self.threads, |i, f| {
             let p = profile.and_then(|p| p.get(i)).map(Vec::as_slice);
-            step3_function(f, config, p, &shared, use_cache)
+            step3_function(f, config, p, &shared)
         });
         let mut sxe_opt_time = Duration::ZERO;
         for out in step3 {
             report.absorb(out.report);
             stats.merge(out.stats);
-            cache_stats.merge(out.cache);
             events.extend(out.events);
             times.chain_creation += out.chain_creation;
             sxe_opt_time += out.sxe_opt;
@@ -487,7 +463,7 @@ impl Compiler {
             let mut all = driver.into_events();
             all.extend(events);
             tel.submit(all);
-            tel.metrics(|m| record_compile_metrics(m, &stats, &opt_stats, &report, cache_stats));
+            tel.metrics(|m| record_compile_metrics(m, &stats, &opt_stats, &report));
         }
 
         Ok(Compiled { module, stats, opt_stats, times, report })
@@ -503,14 +479,10 @@ fn record_compile_metrics(
     stats: &SxeStats,
     opt_stats: &OptStats,
     report: &CompileReport,
-    cache: CacheStats,
 ) {
     m.add("compile.modules", 1);
     stats.record_into(m);
     opt_stats.record_into(m);
-    m.add("cache.hit", cache.hits);
-    m.add("cache.miss", cache.misses);
-    m.add("cache.invalidation", cache.invalidations);
     m.add("compile.boundaries", report.boundaries() as u64);
     m.add("compile.rollbacks", report.rollbacks().count() as u64);
     m.add("compile.incidents", report.incidents() as u64);
@@ -591,13 +563,6 @@ impl CompilerBuilder {
         self
     }
 
-    /// Enable or disable the per-worker analysis cache.
-    #[must_use]
-    pub fn cache(mut self, cache: bool) -> CompilerBuilder {
-        self.compiler.cache = cache;
-        self
-    }
-
     /// Attach a telemetry sink (see [`Compiler::with_telemetry`]).
     #[must_use]
     pub fn telemetry(mut self, telemetry: Telemetry) -> CompilerBuilder {
@@ -616,7 +581,6 @@ impl CompilerBuilder {
 struct Step2Outcome {
     report: CompileReport,
     opt: OptStats,
-    cache: CacheStats,
     events: Vec<Event>,
 }
 
@@ -624,15 +588,10 @@ fn step2_function(
     f: &mut Function,
     general: &GeneralOpts,
     shared: &SharedState,
-    use_cache: bool,
     target: Target,
 ) -> Step2Outcome {
     let fname = f.name.clone();
     let mut harness = Harness::new(shared, &format!("step2:@{fname}"));
-    let mut cache = AnalysisCache::new();
-    if use_cache && shared.clock.is_some() {
-        cache.attach_trace(Lane::new(shared.clock, &format!("cache.step2:@{fname}")));
-    }
     let passes = general.passes();
     let mut opt = OptStats::default();
     for _ in 0..general.max_iters {
@@ -644,13 +603,7 @@ fn step2_function(
                 f,
                 verify_function,
                 corrupt_function,
-                |f, _| {
-                    if use_cache {
-                        p.run_cached(f, &mut cache, target)
-                    } else {
-                        p.run(f, target)
-                    }
-                },
+                |f, _| p.run(f, target),
             );
             p.record(&mut round, n.unwrap_or(0));
         }
@@ -661,35 +614,29 @@ fn step2_function(
         }
     }
     f.compact();
-    let cache_stats = cache.stats();
-    let (report, mut events) = harness.finish();
-    events.extend(cache.detach_trace().into_events());
-    Step2Outcome { report, opt, cache: cache_stats, events }
+    let (report, events) = harness.finish();
+    Step2Outcome { report, opt, events }
 }
 
 /// Per-function results of step 3.
 struct Step3Outcome {
     report: CompileReport,
     stats: SxeStats,
-    cache: CacheStats,
     events: Vec<Event>,
     chain_creation: Duration,
     sxe_opt: Duration,
 }
 
 impl Step3Outcome {
-    /// Package one function's results, draining the harness and cache.
+    /// Package one function's results, draining the harness.
     fn collect(
         harness: Harness<'_>,
-        cache: &mut AnalysisCache,
         stats: SxeStats,
         chain_creation: Duration,
         sxe_opt: Duration,
     ) -> Step3Outcome {
-        let cache_stats = cache.stats();
-        let (report, mut events) = harness.finish();
-        events.extend(cache.detach_trace().into_events());
-        Step3Outcome { report, stats, cache: cache_stats, events, chain_creation, sxe_opt }
+        let (report, events) = harness.finish();
+        Step3Outcome { report, stats, events, chain_creation, sxe_opt }
     }
 }
 
@@ -698,14 +645,9 @@ fn step3_function(
     config: &SxeConfig,
     profile: Option<&[u64]>,
     shared: &SharedState,
-    use_cache: bool,
 ) -> Step3Outcome {
     let fname = f.name.clone();
     let mut harness = Harness::new(shared, &format!("step3:@{fname}"));
-    let mut cache = AnalysisCache::new();
-    if use_cache && shared.clock.is_some() {
-        cache.attach_trace(Lane::new(shared.clock, &format!("cache.step3:@{fname}")));
-    }
     let mut stats = SxeStats::default();
     let mut chain_creation = Duration::ZERO;
     let mut sxe_opt = Duration::ZERO;
@@ -723,11 +665,11 @@ fn step3_function(
             stats.merge(s);
         }
         sxe_opt += t.elapsed();
-        return Step3Outcome::collect(harness, &mut cache, stats, chain_creation, sxe_opt);
+        return Step3Outcome::collect(harness, stats, chain_creation, sxe_opt);
     }
     if !config.variant.uses_udu() {
         // Baseline / gen-use: no step-3 optimization, no boundaries.
-        return Step3Outcome::collect(harness, &mut cache, stats, chain_creation, sxe_opt);
+        return Step3Outcome::collect(harness, stats, chain_creation, sxe_opt);
     }
 
     let t = Instant::now();
@@ -737,13 +679,7 @@ fn step3_function(
         f,
         verify_function,
         corrupt_function,
-        |f, _| {
-            if use_cache {
-                sxe_core::step3_insertion_cached(f, config, &mut cache)
-            } else {
-                sxe_core::step3_insertion(f, config)
-            }
-        },
+        |f, _| sxe_core::step3_insertion(f, config),
     ) {
         stats.dummies += ins.dummies;
         stats.inserted += ins.inserted;
@@ -756,13 +692,7 @@ fn step3_function(
             f,
             verify_function,
             corrupt_function,
-            |f, _| {
-                if use_cache {
-                    sxe_core::step3_order_cached(f, config, profile, &mut cache)
-                } else {
-                    sxe_core::step3_order(f, config, profile)
-                }
-            },
+            |f, _| sxe_core::step3_order(f, config, profile),
         )
         // A rolled-back ordering still leaves every site eliminable —
         // just without the hottest-first payoff.
@@ -776,13 +706,7 @@ fn step3_function(
         f,
         verify_function,
         corrupt_function,
-        |f, budget| {
-            if use_cache {
-                sxe_core::step3_eliminate_cached(f, config, &order, budget, &mut cache)
-            } else {
-                sxe_core::step3_eliminate(f, config, &order, budget)
-            }
-        },
+        |f, budget| sxe_core::step3_eliminate(f, config, &order, budget),
     ) {
         Some(out) => {
             stats.examined += out.examined;
@@ -801,7 +725,7 @@ fn step3_function(
             sxe_opt += t.elapsed();
         }
     }
-    Step3Outcome::collect(harness, &mut cache, stats, chain_creation, sxe_opt)
+    Step3Outcome::collect(harness, stats, chain_creation, sxe_opt)
 }
 
 /// Per-phase compile-time breakdown (the quantities behind Table 3).
@@ -1121,7 +1045,6 @@ b2:
             .target(Target::Ppc64)
             .budget(Some(5000), Some(Duration::from_secs(1)))
             .threads(4)
-            .cache(false)
             .verify(false)
             .general(GeneralOpts::none())
             .build();
@@ -1129,7 +1052,7 @@ b2:
         assert_eq!(c.sxe.target, Target::Ppc64);
         assert_eq!(c.fuel, Some(5000));
         assert_eq!(c.threads, 4);
-        assert!(!c.cache && !c.verify);
+        assert!(!c.verify);
         assert_eq!(c.general, GeneralOpts::none());
     }
 
@@ -1166,16 +1089,6 @@ b2:
                     "{v} threads={threads} diverged from sequential"
                 );
             }
-        }
-    }
-
-    #[test]
-    fn cache_does_not_change_output() {
-        let src = parse_module(MULTI).unwrap();
-        for v in [Variant::All, Variant::Array] {
-            let on = Compiler::for_variant(v).compile(&src);
-            let off = Compiler::for_variant(v).with_cache(false).compile(&src);
-            assert_eq!(fingerprint(&on), fingerprint(&off), "{v}: cache changed the output");
         }
     }
 

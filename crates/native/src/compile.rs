@@ -727,7 +727,7 @@ impl FnEmitter<'_> {
                 self.helper_call(target);
                 self.helper_check(at, suffix(self), stubs);
             }
-            Inst::Call { dst, func, ref args } => {
+            Inst::Call { dst, func, ref args, .. } => {
                 // Depth trap: reported at the callee's entry with an
                 // empty suffix (the call itself was charged), exactly
                 // like the decoded engine.

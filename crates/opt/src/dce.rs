@@ -1,33 +1,23 @@
 //! Dead-code elimination based on liveness.
 
-use sxe_analysis::{AnalysisCache, BitSet, Liveness};
+use sxe_analysis::{BitSet, Liveness};
 use sxe_ir::{Cfg, Function, Inst};
 
 /// Delete pure instructions whose destination is dead; returns the number
 /// removed. Iterates to a fixed point (removing one dead instruction can
 /// kill another).
 pub fn run(f: &mut Function) -> usize {
-    run_cached(f, &mut AnalysisCache::new())
-}
-
-/// [`run`] drawing the CFG and liveness of each fixpoint round from a
-/// memoized [`AnalysisCache`]: a round that removes nothing (always the
-/// final one) reuses the facts of the round before it, and a function
-/// already clean when the pass starts never recomputes anything.
-pub fn run_cached(f: &mut Function, cache: &mut AnalysisCache) -> usize {
     let mut total = 0;
     loop {
-        let cfg = cache.cfg(f);
-        let live = cache.liveness(f);
+        let cfg = Cfg::compute(f);
+        let live = Liveness::compute(f, &cfg);
         let n = sweep(f, &cfg, &live);
-        cache.note_rewrites(&f.name, n);
         if n == 0 {
             break;
         }
         total += n;
     }
     f.compact();
-    cache.note_rewrites(&f.name, total);
     total
 }
 

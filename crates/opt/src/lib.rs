@@ -40,6 +40,4 @@ pub mod licm;
 pub mod pipeline;
 pub mod simplify;
 
-pub use pipeline::{
-    run_function, run_function_cached, run_module, GeneralOpts, OptStats, Pass,
-};
+pub use pipeline::{run_function, run_module, GeneralOpts, OptStats, Pass};

@@ -14,27 +14,19 @@
 
 use std::collections::HashMap;
 
-use sxe_analysis::{AnalysisCache, Liveness};
+use sxe_analysis::Liveness;
 use sxe_ir::{BlockId, Cfg, DomTree, Function, Inst, InstId, LoopForest, Reg};
 
 /// Hoist loop-invariant instructions; returns the number moved.
 pub fn run(f: &mut Function) -> usize {
-    run_cached(f, &mut AnalysisCache::new())
-}
-
-/// [`run`] drawing the CFG and liveness of each round from a memoized
-/// [`AnalysisCache`]; the nothing-to-hoist round (always the final one)
-/// reuses the previous round's facts instead of recomputing.
-pub fn run_cached(f: &mut Function, cache: &mut AnalysisCache) -> usize {
     let mut total = 0;
     // Each round hoists out of one loop and then recomputes all analyses;
     // the in-loop instruction count strictly decreases, so this
     // terminates.
     loop {
-        let cfg = cache.cfg(f);
-        let live = cache.liveness(f);
+        let cfg = Cfg::compute(f);
+        let live = Liveness::compute(f, &cfg);
         let moved = hoist_one_loop(f, &cfg, &live);
-        cache.note_rewrites(&f.name, moved);
         if moved == 0 {
             return total;
         }

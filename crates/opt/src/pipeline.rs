@@ -1,6 +1,5 @@
 //! The general-optimization pipeline (paper Figure 5, step 2).
 
-use sxe_analysis::AnalysisCache;
 use sxe_ir::{Function, Module, Target};
 
 /// Which general optimizations to run.
@@ -115,22 +114,6 @@ impl Pass {
             Pass::Cse => crate::cse::run(f),
             Pass::Licm => crate::licm::run(f),
             Pass::Dce => crate::dce::run(f),
-        }
-    }
-
-    /// Like [`run`](Self::run), but keeping a memoized [`AnalysisCache`]
-    /// coherent: passes with cache-aware implementations draw their
-    /// analyses from it, and every rewrite is reported so stale facts are
-    /// dropped.
-    pub fn run_cached(self, f: &mut Function, cache: &mut AnalysisCache, target: Target) -> usize {
-        match self {
-            Pass::Licm => crate::licm::run_cached(f, cache),
-            Pass::Dce => crate::dce::run_cached(f, cache),
-            _ => {
-                let n = self.run(f, target);
-                cache.note_rewrites(&f.name, n);
-                n
-            }
         }
     }
 
@@ -251,33 +234,6 @@ pub fn run_function(f: &mut Function, opts: &GeneralOpts, target: Target) -> Opt
         }
     }
     f.compact();
-    stats
-}
-
-/// [`run_function`] sharing a memoized [`AnalysisCache`] across passes and
-/// fixpoint rounds, so the no-progress final round (and every clean pass
-/// before it) stops recomputing CFG and liveness from scratch.
-pub fn run_function_cached(
-    f: &mut Function,
-    opts: &GeneralOpts,
-    cache: &mut AnalysisCache,
-    target: Target,
-) -> OptStats {
-    let passes = opts.passes();
-    let mut stats = OptStats::default();
-    for _ in 0..opts.max_iters {
-        let mut round = OptStats::default();
-        for &p in &passes {
-            p.record(&mut round, p.run_cached(f, cache, target));
-        }
-        let progress = round.total();
-        stats.merge(round);
-        if progress == 0 {
-            break;
-        }
-    }
-    f.compact();
-    cache.note_rewrites(&f.name, stats.total());
     stats
 }
 

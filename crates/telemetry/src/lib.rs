@@ -6,14 +6,14 @@
 //! * **spans** ([`Session`], [`Lane`], [`Span`], [`Event`]) — a
 //!   span-based tracer with monotonic timestamps drawn from one shared
 //!   [`Clock`]. Recording is lock-free: every unit of work (a shard
-//!   worker's function, the module prologue, an analysis cache) owns a
-//!   private [`Lane`] buffer, and the driver merges lanes back into the
+//!   worker's function, the module prologue) owns a private
+//!   [`Lane`] buffer, and the driver merges lanes back into the
 //!   session **in function order** — mirroring the sharded compiler's
 //!   deterministic merge — so the trace is identical at any `--threads`
 //!   (modulo thread ids and wall-clock values).
 //! * **metrics** ([`Registry`]) — typed counters, gauges, and
 //!   histograms under a dotted label scheme (`sxe.extends_inserted`,
-//!   `cache.hit`, `pass.dce.wall_ns`, `vm.op.aload`, ...), with a
+//!   `compile.boundaries`, `pass.dce.wall_ns`, `vm.op.aload`, ...), with a
 //!   [`Registry::merge`] so shard workers and repeated compiles
 //!   aggregate exactly.
 //! * **exporters** — Chrome trace-event JSON

@@ -2,7 +2,7 @@
 //! dotted label scheme.
 //!
 //! Labels are dotted paths — `sxe.extends_inserted`,
-//! `opt.rewrites.licm`, `cache.hit`, `pass.dce.wall_ns`,
+//! `opt.rewrites.licm`, `compile.boundaries`, `pass.dce.wall_ns`,
 //! `vm.op.aload` — stored in `BTreeMap`s so every export is
 //! deterministically ordered. [`Registry::merge`] adds counters,
 //! overwrites gauges, and folds histograms bucket-by-bucket, which is
@@ -361,11 +361,11 @@ mod tests {
     #[test]
     fn summary_renders_every_kind() {
         let mut r = Registry::new();
-        r.add("cache.hit", 9);
+        r.add("compile.boundaries", 9);
         r.set_gauge("speedup", 2.0);
         r.observe("pass.licm.wall_ns", 2_000_000);
         let s = r.summary();
-        assert!(s.contains("cache.hit"));
+        assert!(s.contains("compile.boundaries"));
         assert!(s.contains("speedup"));
         assert!(s.contains("pass.licm.wall_ns"));
         assert!(s.contains("ms"), "durations use the shared formatter: {s}");

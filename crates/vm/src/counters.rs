@@ -381,7 +381,7 @@ mod tests {
             (opidx::LEN, Inst::ArrayLen { dst: r, array: r }),
             (opidx::ALOAD, Inst::ArrayLoad { dst: r, array: r, index: r, elem: Ty::I32 }),
             (opidx::ASTORE, Inst::ArrayStore { array: r, index: r, src: r, elem: Ty::I32 }),
-            (opidx::CALL, Inst::Call { dst: None, func: FuncId(0), args: vec![] }),
+            (opidx::CALL, Inst::Call { dst: None, func: FuncId(0), args: vec![], ret: None }),
             (opidx::BR, Inst::Br { target: BlockId(0) }),
             (opidx::CONDBR, Inst::CondBr {
                 cond: Cond::Eq,

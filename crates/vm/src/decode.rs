@@ -431,7 +431,7 @@ fn decode_function(f: &Function) -> DecodedFunc {
                 Inst::ArrayStore { array, index, src, .. } => {
                     Op::Store { array: array.0, index: index.0, src: src.0 }
                 }
-                Inst::Call { dst, func, ref args } => {
+                Inst::Call { dst, func, ref args, .. } => {
                     let args_at = call_args.len() as u32;
                     call_args.extend(args.iter().map(|a| a.0));
                     Op::Call {

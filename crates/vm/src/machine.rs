@@ -276,7 +276,7 @@ impl<'m> Machine<'m> {
                         let a = self.heap.get_mut(regs[array.index()]).expect("checked");
                         a.store(idx, v);
                     }
-                    Inst::Call { dst, func: callee, ref args } => {
+                    Inst::Call { dst, func: callee, ref args, .. } => {
                         let vals: Vec<i64> = args.iter().map(|a| regs[a.index()]).collect();
                         let r = self.exec(callee, &vals, depth + 1)?;
                         if let Some(d) = dst {

@@ -78,3 +78,26 @@ fn optimized_never_executes_more_extends() {
         assert!(all <= baseline, "dynamic extends grew: baseline={baseline} all={all}");
     }
 }
+
+/// A generated module whose `f0` divides the result of a call to an
+/// `i64`-returning function (`r1 = div.i32 r7, r4`, `r7` wide) and then
+/// compares the quotient as a 64-bit value. The call result is not
+/// sign-extended, so neither is the quotient, and the extension after the
+/// division must stay: without it the array variants trap ("index out of
+/// bounds") where the Baseline compile returns.
+#[test]
+fn wide_call_result_keeps_the_division_extension() {
+    use sxe_jit::Compiler;
+    use sxe_vm::{Engine, Vm};
+    let m = sxe_ir::parse_module(include_str!("fixtures/wide-call-div.sxir")).unwrap();
+    let run = |v: Variant| {
+        let compiled = Compiler::for_variant(v).compile(&m);
+        let mut vm = Vm::builder(&compiled.module).engine(Engine::Tree).fuel(FUEL).build();
+        vm.run("f0", &[30, 2]).map(|o| (o.ret, o.heap_checksum)).map_err(|e| e.trap_kind())
+    };
+    let reference = run(Variant::Baseline);
+    assert!(reference.is_ok(), "the Baseline compile returns: {reference:?}");
+    for v in Variant::ALL {
+        assert_eq!(run(v), reference, "{v} diverged from Baseline on f0(30, 2)");
+    }
+}

@@ -1,14 +1,13 @@
 //! Sharded-compilation properties: the parallel pipeline must be an
-//! implementation detail. Whatever the worker-pool size and whether the
-//! analysis cache is on, the compiled module, elimination statistics,
-//! optimizer statistics, and the shape of the compile report are
-//! byte-identical to the sequential compile — and the fallible API
+//! implementation detail. Whatever the worker-pool size, the compiled
+//! module, elimination statistics, optimizer statistics, and the shape
+//! of the compile report are byte-identical to the sequential compile — and the fallible API
 //! refuses bad inputs with typed errors instead of panicking.
 
 use sxe_core::Variant;
 use sxe_jit::prelude::*;
 
-/// Everything that must match across thread counts and cache settings:
+/// Everything that must match across thread counts:
 /// function bodies, elimination stats, optimizer stats, and the per-pass
 /// record shapes.
 type Fingerprint = (String, String, String, Vec<(String, Option<String>, String)>);
@@ -61,32 +60,6 @@ fn sharded_profiled_compile_matches_sequential() {
     }
 }
 
-/// The analysis cache is invisible in the output, on and off, sequential
-/// and sharded.
-#[test]
-fn cache_setting_never_changes_output() {
-    for threads in [1usize, 4] {
-        for w in sxe_workloads::all().iter().take(5) {
-            let size = ((w.default_size as f64 * 0.05) as u32).max(4);
-            let m = w.build(size);
-            let cached = Compiler::for_variant(Variant::All)
-                .with_threads(threads)
-                .with_cache(true)
-                .compile(&m);
-            let uncached = Compiler::for_variant(Variant::All)
-                .with_threads(threads)
-                .with_cache(false)
-                .compile(&m);
-            assert_eq!(
-                fingerprint(&cached),
-                fingerprint(&uncached),
-                "{} threads={threads}: cache changed the output",
-                w.name
-            );
-        }
-    }
-}
-
 /// Batch compilation shards whole modules and keeps input order.
 #[test]
 fn batch_results_arrive_in_input_order() {
@@ -131,11 +104,9 @@ fn builder_and_prelude_round_trip() {
         .target(Target::Ppc64)
         .budget(Some(1 << 40), None)
         .threads(4)
-        .cache(false)
         .build();
     assert_eq!(compiler.sxe.target, Target::Ppc64);
     assert_eq!(compiler.threads, 4);
-    assert!(!compiler.cache);
     let w = &sxe_workloads::all()[0];
     let compiled = compiler.compile(&w.build(16));
     assert!(compiled.report.clean(), "{}", compiled.report.summary());

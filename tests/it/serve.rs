@@ -1,12 +1,9 @@
 //! Cross-request behavior of the `sxed` compile service: artifact-key
 //! identity across requests, refusal under load, and quarantine of
-//! corrupted cache entries — plus the [`AnalysisCache`] companion
-//! properties the artifact cache's keying is built on.
+//! corrupted cache entries.
 
 use std::time::Duration;
 
-use sxe_analysis::AnalysisCache;
-use sxe_ir::parse_module;
 use sxe_serve::{
     stat_value, BreakerPolicy, BreakerState, CacheOutcome, CircuitBreaker, Client, CompileRequest,
     RefusalReason, Response, RetryPolicy, ServeConfig, Server,
@@ -104,45 +101,6 @@ fn vm_and_native_backend_requests_never_share_cache_entries() {
     client.shutdown().unwrap();
     server.wait();
     std::fs::remove_dir_all(&dir).unwrap();
-}
-
-/// The AnalysisCache companion property: rewriting a function bumps its
-/// generation and invalidates its facts, and a function whose body
-/// changed under the same name is a fingerprint miss, not a stale hit.
-#[test]
-fn analysis_cache_generation_bump_and_fingerprint_miss() {
-    let module_a = parse_module(BODY_A).unwrap();
-    let module_b = parse_module(BODY_B).unwrap();
-    let (_, fa) = module_a.iter().next().unwrap();
-    let (_, fb) = module_b.iter().next().unwrap();
-    assert_ne!(fa.fingerprint(), fb.fingerprint(), "bodies differ, fingerprints must too");
-
-    let mut cache = AnalysisCache::new();
-    let before = cache.generation("work");
-    let _ = cache.udu(fa);
-    let _ = cache.udu(fa);
-    // Each udu query goes through the cfg first, so a warm re-query
-    // scores two hits (cfg + udu).
-    assert_eq!(cache.hits(), 2, "second query of the same body is memoized");
-
-    // A pass that rewrote the function bumps the generation and drops
-    // the facts.
-    cache.note_rewrites("work", 3);
-    assert!(cache.generation("work") > before, "rewrites must bump the generation");
-    let invalidations = cache.invalidations();
-    assert!(invalidations >= 1);
-
-    // Same name, different body: the fingerprint check forces a
-    // recompute even though the cache has an entry under this name.
-    let _ = cache.udu(fa);
-    let hits = cache.hits();
-    let _ = cache.udu(fb);
-    assert_eq!(cache.hits(), hits, "body B must not hit body A's facts");
-    assert_eq!(
-        cache.misses(),
-        6,
-        "A, A-after-invalidation, and B all recomputed (cfg + udu each)"
-    );
 }
 
 /// Saturating a one-slot queue yields typed `queue-full` refusals with

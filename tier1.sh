@@ -1,6 +1,8 @@
 #!/usr/bin/env sh
 # Tier-1 gate: build, full test suite, lints on the robustness- and
 # sharding-touched crates, the sharded-compile determinism check, the
+# benchmark harness build and test (perfbench is its own workspace, so
+# the root build never compiles it), the
 # fault-injection (chaos) smoke sweep, the telemetry gate (schema-valid
 # metrics export, disabled-sink output determinism), and the fuzz gate
 # (clean smoke campaign, planted-miscompile self-test with a minimized
@@ -44,6 +46,9 @@ cargo clippy -q -p sxe-ir -p sxe-analysis -p sxe-core -p sxe-opt -p sxe-vm \
 if [ "${1:-}" != "--fast" ]; then
     echo "== tier1: sharded determinism (threads 1 vs 4, 17 workloads)"
     cargo run -q --release -p sxe-bench --bin throughput -- --check --scale 0.05
+
+    echo "== tier1: perfbench (its own workspace: builds against these crates, determinism test)"
+    cargo test -q --release --offline --manifest-path perfbench/Cargo.toml
 
     echo "== tier1: chaos smoke (17 workloads x 32 fault seeds, 4 workers)"
     cargo run -q --release -p sxe-bench --bin chaos -- --seeds 32 --scale 0.05 --threads 4
