@@ -117,8 +117,8 @@ fn main() -> ExitCode {
     let (mut base_total, mut all_total) = (Duration::ZERO, Duration::ZERO);
     for w in sxe_workloads::all() {
         let m = w.build(scaled(&w, scale));
-        let base = base_compiler.compile(&m).module;
-        let all = all_compiler.compile(&m).module;
+        let base = base_compiler.try_compile(&m).expect("compiles").module;
+        let all = all_compiler.try_compile(&m).expect("compiles").module;
         let (bt, bout, _, bext) = measure(&base, Engine::Native, repeats);
         let (at, aout, ainsts, aext) = measure(&all, Engine::Native, repeats);
         assert_eq!(

@@ -47,13 +47,13 @@ fn fingerprint(c: &Compiled) -> Fingerprint {
 
 fn check_determinism(scale: f64) -> ExitCode {
     let sequential = Compiler::for_variant(Variant::All);
-    let sharded = Compiler::for_variant(Variant::All).with_threads(4);
+    let sharded = Compiler::builder(Variant::All).threads(4).build();
     let mut failures = 0u32;
     for w in sxe_workloads::all() {
         let size = ((w.default_size as f64 * scale) as u32).max(4);
         let m = w.build(size);
-        let seq = fingerprint(&sequential.compile(&m));
-        let par = fingerprint(&sharded.compile(&m));
+        let seq = fingerprint(&sequential.try_compile(&m).expect("compiles"));
+        let par = fingerprint(&sharded.try_compile(&m).expect("compiles"));
         if seq == par {
             println!("throughput: {:<16} threads 1 vs 4: identical", w.name);
         } else {
@@ -143,7 +143,7 @@ fn main() -> ExitCode {
             .iter()
             .map(|w| w.build(((w.default_size as f64 * scale) as u32).max(4)))
             .collect();
-        std::hint::black_box(compiler.compile_batch(&modules));
+        std::hint::black_box(compiler.try_compile_batch(&modules).expect("compiles"));
         if let Err(e) = std::fs::write(path, tel.metrics_json()) {
             eprintln!("throughput: cannot write {path}: {e}");
             return ExitCode::FAILURE;

@@ -85,7 +85,7 @@ fn main() -> ExitCode {
     let mut insts_total = 0u64;
     for w in sxe_workloads::all() {
         let m = w.build(scaled(&w, scale));
-        let compiled = compiler.compile(&m);
+        let compiled = compiler.try_compile(&m).expect("compiles");
         let (tt, tout, tinsts) = measure(&compiled.module, Engine::Tree, repeats);
         let (dt, dout, dinsts) = measure(&compiled.module, Engine::Decoded, repeats);
         assert_eq!(

@@ -108,14 +108,14 @@ pub fn dynamic_extend_table_on(suite: Suite, scale: f64, target: Target) -> Coun
     let mut baseline: Vec<u64> = Vec::new();
     let mut rows = Vec::new();
     for variant in Variant::ALL {
-        let compiler = Compiler::for_variant(variant).with_target(target);
+        let compiler = Compiler::builder(variant).target(target).build();
         let mut cells = Vec::new();
         for (i, w) in workloads.iter().enumerate() {
             let m = w.build(scaled(w, scale));
             // Paper-faithful: the combined interpreter + dynamic compiler
             // profiles the code before optimizing, feeding measured block
             // frequencies to order determination.
-            let compiled = compiler.compile_profiled(&m, "main", &[]);
+            let compiled = compiler.try_compile_profiled(&m, "main", &[]).expect("compiles");
             let (count, _, _) = run_counting(&compiled, target);
             let base = if variant == Variant::Baseline {
                 baseline.push(count.max(1));
@@ -203,8 +203,8 @@ pub fn speedup_figure(suite: Suite, scale: f64) -> Vec<SpeedupBar> {
         .filter(|w| w.suite == suite)
         .map(|w| {
             let m = w.build(scaled(&w, scale));
-            let base = base_compiler.compile_profiled(&m, "main", &[]);
-            let all = all_compiler.compile_profiled(&m, "main", &[]);
+            let base = base_compiler.try_compile_profiled(&m, "main", &[]).expect("compiles");
+            let all = all_compiler.try_compile_profiled(&m, "main", &[]).expect("compiles");
             let (_, base_cycles, _) = run_counting(&base, Target::Ia64);
             let (_, all_cycles, _) = run_counting(&all, Target::Ia64);
             let sched = |c: &Compiled| -> u64 {
@@ -257,7 +257,7 @@ pub fn compile_time_table(scale: f64, repeats: u32) -> Vec<CompileTimeRow> {
             let m = w.build(scaled(&w, scale));
             let mut times = sxe_jit::PhaseTimes::default();
             for _ in 0..repeats.max(1) {
-                times.merge(compiler.compile(&m).times);
+                times.merge(compiler.try_compile(&m).expect("compiles").times);
             }
             let total = times.total().as_secs_f64().max(1e-12);
             CompileTimeRow {
@@ -330,7 +330,7 @@ pub fn compile_throughput(scale: f64, threads_list: &[usize], repeats: u32) -> V
         let mut best = f64::INFINITY;
         for _ in 0..repeats.max(1) {
             let t0 = std::time::Instant::now();
-            std::hint::black_box(compiler.compile_batch(&modules));
+            std::hint::black_box(compiler.try_compile_batch(&modules).expect("compiles"));
             best = best.min(t0.elapsed().as_secs_f64());
         }
         let modules_per_sec = modules.len() as f64 / best.max(1e-12);

@@ -16,7 +16,7 @@
 //! checks, mirroring what a code generator knows.
 
 use sxe_analysis::AvailableExt;
-use sxe_ir::semantics::{classify_uses, def_facts, param_facts};
+use sxe_ir::semantics::{classify_uses, def_facts};
 use sxe_ir::{Cfg, ExtFacts, Function, Inst, Reg, Target, Ty, UseKind, Width};
 
 /// The inferred class of a virtual register.
@@ -215,14 +215,58 @@ fn convert_function_with_kinds(
 /// Panics if register kinds cannot be inferred for some function.
 pub fn convert_module(m: &mut sxe_ir::Module, target: Target, strategy: GenStrategy) -> usize {
     let rets: Vec<Option<Ty>> = m.functions.iter().map(|g| g.ret).collect();
+    let params: Vec<Vec<Ty>> = m
+        .functions
+        .iter()
+        .map(|g| g.params.iter().map(|&(_, ty)| ty).collect())
+        .collect();
     let mut total = 0;
     for f in &mut m.functions {
         let mut kinds = infer_kinds(f).expect("consistent kinds");
         refine_call_kinds(f, &rets, &mut kinds);
+        narrow_call_args(f, &params, &mut kinds);
         total += convert_function_with_kinds(f, target, strategy, Some(kinds));
         record_call_returns(f, &rets);
     }
     total
+}
+
+/// Route every non-narrow register bound to a narrow integer parameter
+/// (`params[callee]` lists its parameter types) through a fresh
+/// `copy.i32`. Narrow arguments cross a call sign-extended and the
+/// callee relies on it ([`param_facts`](sxe_ir::semantics::param_facts)),
+/// so generation must extend the copy as it does any narrow value; an
+/// `i64` register passed as is would arrive with its upper bits intact.
+fn narrow_call_args(f: &mut Function, params: &[Vec<Ty>], kinds: &mut Vec<RegKind>) {
+    for block in &mut f.blocks {
+        let mut i = 0;
+        while i < block.insts.len() {
+            // One copy per distinct register: `call @g(r5, r5)` still
+            // passes one value twice.
+            let mut copies: Vec<(Reg, Reg)> = Vec::new();
+            if let Inst::Call { func, args, .. } = &mut block.insts[i] {
+                for (a, ty) in args.iter_mut().zip(&params[func.index()]) {
+                    if ty.width().is_none() || kinds[a.index()] == RegKind::Int32 {
+                        continue;
+                    }
+                    *a = match copies.iter().find(|c| c.0 == *a) {
+                        Some(&(_, copy)) => copy,
+                        None => {
+                            let copy = Reg(f.reg_count);
+                            f.reg_count += 1;
+                            copies.push((*a, copy));
+                            copy
+                        }
+                    };
+                }
+            }
+            let n = copies.len();
+            let copies = copies.into_iter().map(|(src, dst)| Inst::Copy { dst, src, ty: Ty::I32 });
+            block.insts.splice(i..i, copies);
+            i += n + 1;
+        }
+    }
+    kinds.resize(f.reg_count as usize, RegKind::Int32);
 }
 
 /// Record each call's callee return type on the instruction, for the
@@ -268,13 +312,6 @@ pub fn fully_extended(f: &Function, target: Target) -> bool {
     true
 }
 
-/// Facts for a parameter, re-exported for the elimination (kept here so
-/// the conversion and elimination share the calling-convention view).
-#[must_use]
-pub fn param_fact(ty: Ty, w: Width) -> ExtFacts {
-    param_facts(ty, w)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -298,6 +335,33 @@ mod tests {
             })
             .collect();
         assert_eq!(rets, [Some(Ty::I64), Some(Ty::I32)]);
+    }
+
+    #[test]
+    fn wide_argument_to_narrow_parameter_is_extended_at_the_call() {
+        let src = "func @f(i64) -> i64 {\n\
+             b0:\n    r1 = call @g(r0, r0, r0)\n    ret r0\n}\n\
+             func @g(i32, i64, i32) -> i32 {\nb0:\n    ret r0\n}\n";
+        for strategy in [GenStrategy::AfterDef, GenStrategy::BeforeUse] {
+            let mut m = parse_module(src).unwrap();
+            convert_module(&mut m, Target::Ia64, strategy);
+            let f = &m.functions[0];
+            verify_function(f).unwrap();
+            assert!(fully_extended(f, Target::Ia64), "{strategy:?}:\n{f}");
+            // Both narrow slots share one extended copy; the wide slot and
+            // the returned register keep the untouched `i64`.
+            let (copy, args) = f
+                .insts()
+                .find_map(|(_, i)| match i {
+                    Inst::Call { args, .. } => Some((args[0], args.clone())),
+                    _ => None,
+                })
+                .unwrap();
+            assert_ne!(copy, Reg(0));
+            assert_eq!(args, [copy, Reg(0), copy]);
+            assert_eq!(f.count_extends(None), 1, "{strategy:?}:\n{f}");
+            assert!(f.to_string().contains("ret r0"));
+        }
     }
 
     #[test]

@@ -54,6 +54,6 @@ pub use convert::{convert_function, convert_module, infer_kinds, GenStrategy, Re
 pub use eliminate::{strip_dummies, ElimConfig, ElimResult};
 pub use insertion::InsertionStats;
 pub use pass::{
-    fallback_order, run_step3, run_step3_module, step3_eliminate, step3_first, step3_insertion,
-    step3_order, ElimOutcome, InsertionOutcome, ModuleProfile,
+    fallback_order, run_step3, step3_eliminate, step3_first, step3_insertion, step3_order,
+    ElimOutcome, InsertionOutcome, ModuleProfile,
 };

@@ -4,7 +4,7 @@
 use std::time::{Duration, Instant};
 
 use sxe_analysis::{FlowRanges, Freq, UdDu};
-use sxe_ir::{Budget, Cfg, Function, Inst, InstId, Module};
+use sxe_ir::{Budget, Cfg, Function, Inst, InstId};
 
 use crate::config::{SxeConfig, SxeStats};
 use crate::eliminate::{remove_dummies, run_elimination_budgeted, ElimConfig};
@@ -176,20 +176,6 @@ pub fn step3_first(f: &mut Function, config: &SxeConfig) -> SxeStats {
 
 /// Per-function block-count profiles for a module.
 pub type ModuleProfile = Vec<Vec<u64>>;
-
-/// Run step 3 on every function of a module.
-pub fn run_step3_module(
-    m: &mut Module,
-    config: &SxeConfig,
-    profile: Option<&ModuleProfile>,
-) -> SxeStats {
-    let mut stats = SxeStats::default();
-    for (i, f) in m.functions.iter_mut().enumerate() {
-        let p = profile.and_then(|p| p.get(i)).map(Vec::as_slice);
-        stats.merge(run_step3(f, config, p));
-    }
-    stats
-}
 
 #[cfg(test)]
 mod tests {

@@ -6,15 +6,15 @@
 //! captures everything the compiled text depends on:
 //!
 //! * **the input functions** — folded in as each
-//!   [`Function::fingerprint`] in module order (a structural hash of
-//!   the function's printed form). Because step-2
-//!   inlining can splice one function's body into another, a single
+//!   [`Function::fingerprint`](sxe_ir::Function::fingerprint) in module
+//!   order (a structural hash of the function's printed form). Because
+//!   step-2 inlining can splice one function's body into another, a single
 //!   function's compiled form depends on its callees; combining *every*
 //!   function fingerprint makes the key sound in the presence of
 //!   inlining at the cost of caching per module rather than per
 //!   function;
 //! * **the pipeline configuration** — the step-3 [`SxeConfig`] and the
-//!   step-2 [`GeneralOpts`] ([`config_key`]), which are the only
+//!   step-2 [`GeneralOpts`] ([`config_key_for`]), which are the only
 //!   compiler knobs that change the emitted text;
 //! * **the pipeline revision** — [`ARTIFACT_VERSION`], bumped whenever
 //!   a change to the optimizer can alter output for an unchanged input,
@@ -24,7 +24,7 @@
 //! Deliberately *excluded* from the key — and therefore part of the
 //! caller's contract:
 //!
-//! * `threads`, `verify`, `telemetry` — proven byte-identical
+//! * `threads`, `telemetry` — proven byte-identical
 //!   by the tier-1 determinism gates, so they cannot change the artifact;
 //! * `fuel` / `time_limit` / `fault_plan` — these *can* change the
 //!   output (budget salvage, contained rollbacks), so **callers must
@@ -37,12 +37,12 @@
 //! [`GeneralOpts`]: sxe_opt::GeneralOpts
 //! [`CompileReport::clean`]: crate::CompileReport::clean
 
-use sxe_ir::{Function, Module};
+use sxe_ir::Module;
 
 use crate::Compiler;
 
 /// Revision of the compiled-artifact format and of the pipeline's
-/// output-affecting behavior. Mixed into every [`artifact_key`]; bump it
+/// output-affecting behavior. Mixed into every [`artifact_key_for`]; bump it
 /// when an optimizer change can alter the compiled text for an
 /// unchanged input + configuration.
 ///
@@ -99,16 +99,11 @@ fn fnv1a(mut h: u64, bytes: &[u8]) -> u64 {
     h
 }
 
-/// Fingerprint of the output-affecting compiler configuration: the
-/// step-3 [`sxe_core::SxeConfig`] and step-2 [`sxe_opt::GeneralOpts`],
-/// plus [`ARTIFACT_VERSION`]. Budget, fault-plan, thread-count, and
-/// telemetry knobs are excluded (see the [module docs](self)).
-#[must_use]
-pub fn config_key(compiler: &Compiler) -> u64 {
-    config_key_for(compiler, Backend::Vm)
-}
-
-/// [`config_key`] for an explicit [`Backend`].
+/// Fingerprint of the output-affecting compiler configuration for
+/// `backend`: the step-3 [`sxe_core::SxeConfig`] and step-2
+/// [`sxe_opt::GeneralOpts`], plus [`ARTIFACT_VERSION`]. Budget,
+/// fault-plan, thread-count, and telemetry knobs are excluded (see the
+/// [module docs](self)).
 #[must_use]
 pub fn config_key_for(compiler: &Compiler, backend: Backend) -> u64 {
     // Debug formatting enumerates every field of both config structs, so
@@ -120,9 +115,10 @@ pub fn config_key_for(compiler: &Compiler, backend: Backend) -> u64 {
     fnv1a(FNV_OFFSET, desc.as_bytes())
 }
 
-/// Fingerprint of a module's functions: each [`Function::fingerprint`]
-/// folded in module order (order matters — it is the merge order of the
-/// sharded pipeline and the emission order of the compiled text).
+/// Fingerprint of a module's functions: each
+/// [`Function::fingerprint`](sxe_ir::Function::fingerprint) folded in
+/// module order (order matters — it is the merge order of the sharded
+/// pipeline and the emission order of the compiled text).
 #[must_use]
 pub fn module_key(module: &Module) -> u64 {
     let mut h = FNV_OFFSET;
@@ -133,27 +129,12 @@ pub fn module_key(module: &Module) -> u64 {
 }
 
 /// The cross-process cache key for compiling `module` with `compiler`
-/// for the default [`Backend::Vm`]: [`config_key`] and [`module_key`]
-/// combined.
-#[must_use]
-pub fn artifact_key(compiler: &Compiler, module: &Module) -> u64 {
-    artifact_key_for(compiler, Backend::Vm, module)
-}
-
-/// [`artifact_key`] for an explicit [`Backend`].
+/// for `backend`: [`config_key_for`] and [`module_key`] combined.
 #[must_use]
 pub fn artifact_key_for(compiler: &Compiler, backend: Backend, module: &Module) -> u64 {
     let mut h = fnv1a(FNV_OFFSET, &config_key_for(compiler, backend).to_le_bytes());
     h = fnv1a(h, &module_key(module).to_le_bytes());
     h
-}
-
-/// [`Function::fingerprint`] of one function — re-exported entry point so
-/// artifact-cache consumers name the same primitive [`module_key`]
-/// folds in.
-#[must_use]
-pub fn function_key(f: &Function) -> u64 {
-    f.fingerprint()
 }
 
 #[cfg(test)]
@@ -167,13 +148,13 @@ mod tests {
 
     #[test]
     fn key_is_deterministic_and_body_sensitive() {
-        let c = Compiler::for_variant(Variant::All);
+        let key = |m| artifact_key_for(&Compiler::for_variant(Variant::All), Backend::Vm, m);
         let a = parse_module(A).unwrap();
         let b = parse_module(B).unwrap();
-        assert_eq!(artifact_key(&c, &a), artifact_key(&c, &a));
+        assert_eq!(key(&a), key(&a));
         assert_ne!(
-            artifact_key(&c, &a),
-            artifact_key(&c, &b),
+            key(&a),
+            key(&b),
             "same name, different body must miss"
         );
     }
@@ -181,17 +162,18 @@ mod tests {
     #[test]
     fn key_is_config_sensitive() {
         let a = parse_module(A).unwrap();
+        let key = |c: &Compiler| artifact_key_for(c, Backend::Vm, &a);
         let all = Compiler::for_variant(Variant::All);
         let base = Compiler::for_variant(Variant::Baseline);
-        let ppc = Compiler::for_variant(Variant::All).with_target(Target::Ppc64);
-        assert_ne!(artifact_key(&all, &a), artifact_key(&base, &a));
-        assert_ne!(artifact_key(&all, &a), artifact_key(&ppc, &a));
+        let ppc = Compiler::builder(Variant::All).target(Target::Ppc64).build();
+        assert_ne!(key(&all), key(&base));
+        assert_ne!(key(&all), key(&ppc));
         // Every target pair keys distinctly: a mips64 artifact (built
         // under canonical-form folding) must never answer another
         // target's request, and vice versa.
         let keys: Vec<u64> = Target::ALL
             .iter()
-            .map(|&t| artifact_key(&Compiler::for_variant(Variant::All).with_target(t), &a))
+            .map(|&t| key(&Compiler::builder(Variant::All).target(t).build()))
             .collect();
         for i in 0..keys.len() {
             for j in i + 1..keys.len() {
@@ -204,12 +186,13 @@ mod tests {
     fn key_ignores_output_neutral_knobs() {
         let a = parse_module(A).unwrap();
         let plain = Compiler::for_variant(Variant::All);
-        let tuned = Compiler::for_variant(Variant::All)
-            .with_threads(8)
-            .with_budget(Some(10), None);
+        let tuned = Compiler::builder(Variant::All)
+            .threads(8)
+            .budget(Some(10), None)
+            .build();
         assert_eq!(
-            artifact_key(&plain, &a),
-            artifact_key(&tuned, &a),
+            artifact_key_for(&plain, Backend::Vm, &a),
+            artifact_key_for(&tuned, Backend::Vm, &a),
             "threads/budget are not part of the artifact identity"
         );
     }
@@ -237,9 +220,7 @@ mod tests {
             artifact_key_for(&c, Backend::Native, &a),
             "a VM-era artifact must never answer a native-era request"
         );
-        // The legacy entry points are the VM backend.
-        assert_eq!(artifact_key(&c, &a), artifact_key_for(&c, Backend::Vm, &a));
-        assert_eq!(config_key(&c), config_key_for(&c, Backend::Vm));
+        assert_ne!(config_key_for(&c, Backend::Vm), config_key_for(&c, Backend::Native));
     }
 
     #[test]
@@ -250,12 +231,5 @@ mod tests {
         assert_eq!(Backend::Vm.to_string(), "vm");
         assert_eq!(Backend::Native.to_string(), "native");
         assert_eq!(Backend::default(), Backend::Vm);
-    }
-
-    #[test]
-    fn function_key_matches_fingerprint() {
-        let a = parse_module(A).unwrap();
-        let (_, f) = a.iter().next().unwrap();
-        assert_eq!(function_key(f), f.fingerprint());
     }
 }

@@ -55,7 +55,7 @@ use std::time::Duration;
 
 use sxe_core::Variant;
 use sxe_ir::Target;
-use sxe_jit::{Compiled, Compiler, FaultPlan, Telemetry};
+use sxe_jit::{Compiled, Compiler, CompilerBuilder, FaultPlan, Telemetry};
 use sxe_vm::{differential_check, Engine, OracleConfig, Vm, VmError};
 
 /// Runtime failure: a trap, an oracle mismatch, or output I/O.
@@ -376,12 +376,15 @@ fn main() -> ExitCode {
             }
         }
     };
-    let mut compiler = Compiler::builder(opts.variant)
+    let mut builder = Compiler::builder(opts.variant)
         .target(opts.target)
         .budget(opts.budget, opts.timeout_ms.map(Duration::from_millis))
-        .threads(opts.threads)
-        .build();
-    compiler.sxe.max_array_len = opts.max_array_len;
+        .threads(opts.threads);
+    let build = |builder: CompilerBuilder| {
+        let mut compiler = builder.build();
+        compiler.sxe.max_array_len = opts.max_array_len;
+        compiler
+    };
     let try_compile = |compiler: &Compiler| -> Result<Compiled, ExitCode> {
         compiler.try_compile(&module).map_err(|e| {
             eprintln!("sxec: compile refused: {e}");
@@ -391,18 +394,18 @@ fn main() -> ExitCode {
     if let Some(seed) = opts.chaos_seed {
         // Boundary count comes from a fault-free dry run of the same
         // module; the plan then lands inside the real range.
-        let dry = match try_compile(&compiler) {
+        let dry = match try_compile(&build(builder.clone())) {
             Ok(c) => c,
             Err(code) => return code,
         };
-        let plan = FaultPlan::from_seed(seed, dry.report.boundaries() as u32);
-        compiler = compiler.with_fault_plan(plan);
+        builder = builder.fault_plan(FaultPlan::from_seed(seed, dry.report.boundaries() as u32));
     }
     // Attach the sink only now, so a chaos dry run above is not traced
     // and the exported metrics cover exactly one compile.
     if opts.trace.is_some() || opts.metrics.is_some() {
-        compiler.telemetry = Telemetry::enabled();
+        builder = builder.telemetry(Telemetry::enabled());
     }
+    let compiler = build(builder);
     let compiled = match try_compile(&compiler) {
         Ok(c) => c,
         Err(code) => return code,
@@ -415,10 +418,8 @@ fn main() -> ExitCode {
         // Oracle reference: the conversion-only (Baseline) compile — the
         // raw module is not meaningful on the 64-bit machine model until
         // step 1 has inserted its sign extensions.
-        let reference = Compiler::for_variant(Variant::Baseline)
-            .with_target(opts.target)
-            .compile(&module)
-            .module;
+        let baseline = Compiler::builder(Variant::Baseline).target(opts.target).build();
+        let reference = baseline.try_compile(&module).expect("the input verified above").module;
         let defaults = OracleConfig::default();
         let oracle = OracleConfig::new()
             .runs(opts.oracle_runs.unwrap_or(defaults.runs))

@@ -9,18 +9,19 @@
 //!
 //! The compiler measures per-phase wall-clock time (the paper's Table 3
 //! breakdown) and supports the paper's combined interpreter + dynamic
-//! compiler mode: [`Compiler::compile_profiled`] interprets the
+//! compiler mode: [`Compiler::try_compile_profiled`] interprets the
 //! pre-step-3 code once to collect block frequencies, then feeds them to
 //! order determination.
 //!
 //! **Sharded compilation** rides on top of the pipeline:
-//! [`Compiler::threads`] splits the per-function work of steps 2 and 3
-//! (and whole modules in [`Compiler::compile_batch`]) across a
+//! [`CompilerBuilder::threads`] splits the per-function work of steps 2
+//! and 3 (and whole modules in [`Compiler::try_compile_batch`]) across a
 //! fixed-size worker pool, with a merge in function order so the output
 //! is byte-identical to a sequential run.
 //!
-//! Construction goes through [`Compiler::builder`]; fallible entry points
-//! ([`Compiler::try_compile`]) return [`CompileError`] instead of
+//! Construction goes through [`Compiler::builder`] ([`Compiler::for_variant`]
+//! is the defaults). Every entry point is fallible: [`Compiler::try_compile`]
+//! and its profiled and batch forms return [`CompileError`] instead of
 //! panicking on bad input.
 //!
 //! ```
@@ -70,7 +71,7 @@ use shard::{par_map, par_map_mut};
 /// let compiler = Compiler::builder(Variant::All).build();
 /// ```
 pub mod prelude {
-    pub use crate::artifact::{artifact_key, artifact_key_for, config_key, config_key_for, module_key, Backend};
+    pub use crate::artifact::{artifact_key_for, config_key_for, module_key, Backend};
     pub use crate::{
         CompileError, CompileReport, Compiled, Compiler, CompilerBuilder, FaultPlan, PassRecord,
         PassStatus, PhaseTimes, Telemetry,
@@ -124,17 +125,14 @@ impl std::error::Error for CompileError {
 /// The compilation pipeline configuration.
 ///
 /// Build one with [`Compiler::builder`] (or [`Compiler::for_variant`] for
-/// the defaults); the fields remain public for direct tweaking.
+/// the defaults). The fields stay public so callers can read the
+/// configuration and set the step-3 knobs the builder does not cover.
 #[derive(Debug, Clone)]
 pub struct Compiler {
     /// Step 3 configuration (variant, target, widths, array bound).
     pub sxe: SxeConfig,
     /// Step 2 configuration.
     pub general: GeneralOpts,
-    /// Verify the module before and after compilation (cheap; on by
-    /// default). Independent of the per-pass verification gates, which
-    /// always run.
-    pub verify: bool,
     /// Compile budget in fuel units (one unit per pass boundary, one per
     /// extension examined by elimination). `None` = unlimited.
     pub fuel: Option<u64>,
@@ -165,7 +163,6 @@ impl Compiler {
         Compiler {
             sxe: SxeConfig::for_variant(variant),
             general: GeneralOpts::default(),
-            verify: true,
             fuel: None,
             time_limit: None,
             fault_plan: None,
@@ -180,41 +177,12 @@ impl Compiler {
         CompilerBuilder { compiler: Compiler::for_variant(variant) }
     }
 
-    /// Override the target architecture.
+    /// Override the target architecture. Kept only because
+    /// `perfbench/src/compile.rs` calls it; use
+    /// [`CompilerBuilder::target`] everywhere else.
     #[must_use]
     pub fn with_target(mut self, target: Target) -> Compiler {
         self.sxe.target = target;
-        self
-    }
-
-    /// Bound the work this compiler may spend per compilation.
-    #[must_use]
-    pub fn with_budget(mut self, fuel: Option<u64>, time_limit: Option<Duration>) -> Compiler {
-        self.fuel = fuel;
-        self.time_limit = time_limit;
-        self
-    }
-
-    /// Inject a deterministic fault (chaos testing).
-    #[must_use]
-    pub fn with_fault_plan(mut self, plan: FaultPlan) -> Compiler {
-        self.fault_plan = Some(plan);
-        self
-    }
-
-    /// Set the worker-pool size for sharded compilation.
-    #[must_use]
-    pub fn with_threads(mut self, threads: usize) -> Compiler {
-        self.threads = threads.max(1);
-        self
-    }
-
-    /// Attach a telemetry sink. Every compilation through this compiler
-    /// (including batch members, which share the handle) records into
-    /// the sink's one session.
-    #[must_use]
-    pub fn with_telemetry(mut self, telemetry: Telemetry) -> Compiler {
-        self.telemetry = telemetry;
         self
     }
 
@@ -266,39 +234,10 @@ impl Compiler {
     /// # Errors
     /// The first [`CompileError`] any module produces.
     pub fn try_compile_batch(&self, sources: &[Module]) -> Result<Vec<Compiled>, CompileError> {
-        let inner = self.clone().with_threads(1);
+        let inner = Compiler { threads: 1, ..self.clone() };
         par_map(sources, self.threads, |_, m| inner.try_compile(m))
             .into_iter()
             .collect()
-    }
-
-    /// Infallible [`try_compile`](Self::try_compile).
-    ///
-    /// # Panics
-    /// Panics on any [`CompileError`] — the input or an optimizer is
-    /// broken.
-    #[must_use]
-    pub fn compile(&self, source: &Module) -> Compiled {
-        self.try_compile(source).unwrap_or_else(|e| panic!("compile failed: {e}"))
-    }
-
-    /// Infallible [`try_compile_profiled`](Self::try_compile_profiled).
-    ///
-    /// # Panics
-    /// Panics on any [`CompileError`].
-    #[must_use]
-    pub fn compile_profiled(&self, source: &Module, entry: &str, args: &[i64]) -> Compiled {
-        self.try_compile_profiled(source, entry, args)
-            .unwrap_or_else(|e| panic!("compile failed: {e}"))
-    }
-
-    /// Infallible [`try_compile_batch`](Self::try_compile_batch).
-    ///
-    /// # Panics
-    /// Panics on any [`CompileError`].
-    #[must_use]
-    pub fn compile_batch(&self, sources: &[Module]) -> Vec<Compiled> {
-        self.try_compile_batch(sources).unwrap_or_else(|e| panic!("compile failed: {e}"))
     }
 
     fn compile_inner(
@@ -306,9 +245,7 @@ impl Compiler {
         source: &Module,
         profile_run: Option<(&str, &[i64])>,
     ) -> Result<Compiled, CompileError> {
-        if self.verify {
-            verify_module(source).map_err(CompileError::Verify)?;
-        }
+        verify_module(source).map_err(CompileError::Verify)?;
         let tel = &self.telemetry;
         let shared = SharedState::new(self.fault_plan, self.budget(), tel.clock());
         if shared.budget.exhausted() {
@@ -445,9 +382,7 @@ impl Compiler {
             t_section.elapsed().saturating_sub(times.chain_creation + times.sxe_opt);
         driver.end(step3_span);
 
-        if self.verify {
-            verify_module(&module).map_err(CompileError::Verify)?;
-        }
+        verify_module(&module).map_err(CompileError::Verify)?;
         stats.generated = generated;
 
         driver.end_with(
@@ -534,13 +469,6 @@ impl CompilerBuilder {
         self
     }
 
-    /// Toggle whole-module verification before and after compilation.
-    #[must_use]
-    pub fn verify(mut self, verify: bool) -> CompilerBuilder {
-        self.compiler.verify = verify;
-        self
-    }
-
     /// Bound the work spent per compilation (fuel units, wall clock).
     #[must_use]
     pub fn budget(mut self, fuel: Option<u64>, time_limit: Option<Duration>) -> CompilerBuilder {
@@ -563,7 +491,9 @@ impl CompilerBuilder {
         self
     }
 
-    /// Attach a telemetry sink (see [`Compiler::with_telemetry`]).
+    /// Attach a telemetry sink. Every compilation through the built
+    /// compiler (including batch members, which share the handle)
+    /// records into the sink's one session.
     #[must_use]
     pub fn telemetry(mut self, telemetry: Telemetry) -> CompilerBuilder {
         self.compiler.telemetry = telemetry;
@@ -854,11 +784,23 @@ b2:
 }
 ";
 
+    /// Compile [`LOOPY`] with `compiler`.
+    fn loopy(compiler: &Compiler) -> Compiled {
+        compiler.try_compile(&parse_module(LOOPY).unwrap()).expect("compiles")
+    }
+
+    /// Run `main(arg)` on IA64: the return value and heap checksum, and
+    /// the dynamic extension count.
+    fn run_main(m: &Module, arg: i64) -> ((Option<i64>, u64), u64) {
+        let mut vm = Vm::builder(m).target(Target::Ia64).build();
+        let out = vm.run("main", &[arg]).expect("no trap");
+        ((out.ret, out.heap_checksum), vm.counters().extend_count(None))
+    }
+
     #[test]
     fn pipeline_end_to_end() {
-        let src = parse_module(LOOPY).unwrap();
-        let base = Compiler::for_variant(Variant::Baseline).compile(&src);
-        let all = Compiler::for_variant(Variant::All).compile(&src);
+        let base = loopy(&Compiler::for_variant(Variant::Baseline));
+        let all = loopy(&Compiler::for_variant(Variant::All));
         assert!(base.module.count_extends(None) > all.module.count_extends(None));
         assert!(all.stats.eliminated > 0);
         assert!(all.times.total() > Duration::ZERO);
@@ -866,29 +808,16 @@ b2:
 
     #[test]
     fn all_variants_compile_and_agree_dynamically() {
-        let src = parse_module(LOOPY).unwrap();
-        let mut reference: Option<(Option<i64>, u64)> = None;
+        let reference = run_main(&loopy(&Compiler::for_variant(Variant::Baseline)).module, 40).0;
         for v in Variant::ALL {
-            let c = Compiler::for_variant(v).compile(&src);
-            let mut vm = Vm::new(&c.module, Target::Ia64);
-            let out = vm.run("main", &[40]).expect("no trap");
-            let key = (out.ret, out.heap_checksum);
-            match &reference {
-                None => reference = Some(key),
-                Some(r) => assert_eq!(*r, key, "variant {v} diverged"),
-            }
+            let got = run_main(&loopy(&Compiler::for_variant(v)).module, 40).0;
+            assert_eq!(got, reference, "variant {v} diverged");
         }
     }
 
     #[test]
     fn dynamic_counts_ordered() {
-        let src = parse_module(LOOPY).unwrap();
-        let count = |v: Variant| {
-            let c = Compiler::for_variant(v).compile(&src);
-            let mut vm = Vm::new(&c.module, Target::Ia64);
-            vm.run("main", &[200]).expect("no trap");
-            vm.counters().extend_count(None)
-        };
+        let count = |v: Variant| run_main(&loopy(&Compiler::for_variant(v)).module, 200).1;
         let baseline = count(Variant::Baseline);
         let first = count(Variant::FirstAlgorithm);
         let all = count(Variant::All);
@@ -902,10 +831,8 @@ b2:
     #[test]
     fn profiled_compile_works() {
         let src = parse_module(LOOPY).unwrap();
-        let c = Compiler::for_variant(Variant::All).compile_profiled(&src, "main", &[40]);
-        let mut vm = Vm::new(&c.module, Target::Ia64);
-        let out = vm.run("main", &[40]).expect("no trap");
-        assert!(out.ret.is_some());
+        let c = Compiler::for_variant(Variant::All).try_compile_profiled(&src, "main", &[40]);
+        assert!(run_main(&c.expect("compiles").module, 40).0 .0.is_some());
     }
 
     #[test]
@@ -922,37 +849,26 @@ b2:
                 .filter(|i| matches!(i, sxe_ir::Inst::Un { op: sxe_ir::UnOp::Zext(_), .. }))
                 .count()
         };
-        let plain = Compiler::for_variant(Variant::All).compile(&src);
+        let plain = Compiler::for_variant(Variant::All).try_compile(&src).expect("compiles");
         assert_eq!(count_zext(&plain.module), 1);
         let mut with = Compiler::for_variant(Variant::All);
         with.sxe.eliminate_zext = true;
-        let optimized = with.compile(&src);
+        let optimized = with.try_compile(&src).expect("compiles");
         assert_eq!(count_zext(&optimized.module), 0);
         // Behaviour preserved.
-        let run = |m: &sxe_ir::Module| {
-            let mut vm = Vm::new(m, Target::Ia64);
-            vm.run("main", &[2]).expect("no trap").ret
-        };
-        assert_eq!(run(&plain.module), run(&optimized.module));
+        assert_eq!(run_main(&plain.module, 2).0, run_main(&optimized.module, 2).0);
     }
 
     #[test]
     fn general_opts_can_be_disabled() {
-        let src = parse_module(LOOPY).unwrap();
-        let mut c = Compiler::for_variant(Variant::All);
-        c.general = sxe_opt::GeneralOpts::none();
-        let compiled = c.compile(&src);
-        let mut vm = Vm::new(&compiled.module, Target::Ia64);
-        let out = vm.run("main", &[40]).expect("no trap");
-        let reference = Compiler::for_variant(Variant::All).compile(&src);
-        let mut vm2 = Vm::new(&reference.module, Target::Ia64);
-        assert_eq!(out.ret, vm2.run("main", &[40]).expect("no trap").ret);
+        let compiled = loopy(&Compiler::builder(Variant::All).general(GeneralOpts::none()).build());
+        let reference = loopy(&Compiler::for_variant(Variant::All));
+        assert_eq!(run_main(&compiled.module, 40).0, run_main(&reference.module, 40).0);
     }
 
     #[test]
     fn clean_compile_reports_clean() {
-        let src = parse_module(LOOPY).unwrap();
-        let c = Compiler::for_variant(Variant::All).compile(&src);
+        let c = loopy(&Compiler::for_variant(Variant::All));
         assert!(c.report.clean(), "{}", c.report.summary());
         assert!(c.report.boundaries() > 0);
         assert!(c.report.records.iter().all(|r| r.status == PassStatus::Ok));
@@ -961,23 +877,19 @@ b2:
 
     #[test]
     fn fault_injection_is_contained_and_reported() {
-        let src = parse_module(LOOPY).unwrap();
-        let reference = Compiler::for_variant(Variant::All).compile(&src);
+        let reference = loopy(&Compiler::for_variant(Variant::All));
         let boundaries = reference.report.boundaries() as u32;
-        let mut vm = Vm::new(&reference.module, Target::Ia64);
-        let want = vm.run("main", &[40]).expect("no trap");
+        let want = run_main(&reference.module, 40).0;
         for seed in 0..48 {
             let plan = FaultPlan::from_seed(seed, boundaries);
-            let c = Compiler::for_variant(Variant::All).with_fault_plan(plan).compile(&src);
+            let c = loopy(&Compiler::builder(Variant::All).fault_plan(plan).build());
             assert!(
                 c.report.incidents() >= 1,
                 "seed {seed}: the injected fault must appear in the report"
             );
-            let mut vm = Vm::new(&c.module, Target::Ia64);
-            let got = vm.run("main", &[40]).expect("no trap");
             assert_eq!(
-                (got.ret, got.heap_checksum),
-                (want.ret, want.heap_checksum),
+                run_main(&c.module, 40).0,
+                want,
                 "seed {seed}: recovered compilation must stay semantically identical"
             );
         }
@@ -985,26 +897,18 @@ b2:
 
     #[test]
     fn tiny_budget_salvages_a_working_module() {
-        let src = parse_module(LOOPY).unwrap();
-        let c = Compiler::for_variant(Variant::All).with_budget(Some(3), None).compile(&src);
+        let c = loopy(&Compiler::builder(Variant::All).budget(Some(3), None).build());
         assert!(c.report.budget_exhausted);
-        let mut vm = Vm::new(&c.module, Target::Ia64);
-        let got = vm.run("main", &[40]).expect("no trap");
-        let reference = Compiler::for_variant(Variant::All).compile(&src);
-        let mut vm2 = Vm::new(&reference.module, Target::Ia64);
-        let want = vm2.run("main", &[40]).expect("no trap");
-        assert_eq!((got.ret, got.heap_checksum), (want.ret, want.heap_checksum));
+        let reference = loopy(&Compiler::for_variant(Variant::All));
+        assert_eq!(run_main(&c.module, 40).0, run_main(&reference.module, 40).0);
     }
 
     #[test]
     fn ppc64_needs_fewer_extensions_than_ia64() {
         // PPC64's lwa sign-extends loads, so the baseline itself has
         // fewer extensions.
-        let src = parse_module(LOOPY).unwrap();
-        let ia = Compiler::for_variant(Variant::Baseline).compile(&src);
-        let ppc = Compiler::for_variant(Variant::Baseline)
-            .with_target(Target::Ppc64)
-            .compile(&src);
+        let ia = loopy(&Compiler::for_variant(Variant::Baseline));
+        let ppc = loopy(&Compiler::builder(Variant::Baseline).target(Target::Ppc64).build());
         assert!(ppc.module.count_extends(None) < ia.module.count_extends(None));
     }
 
@@ -1032,10 +936,8 @@ b2:
     #[test]
     fn empty_budget_is_refused_up_front() {
         let src = parse_module(LOOPY).unwrap();
-        let err = Compiler::for_variant(Variant::All)
-            .with_budget(Some(0), None)
-            .try_compile(&src)
-            .unwrap_err();
+        let empty = Compiler::builder(Variant::All).budget(Some(0), None).build();
+        let err = empty.try_compile(&src).unwrap_err();
         assert_eq!(err, CompileError::BudgetExhaustedBeforeStart);
     }
 
@@ -1045,14 +947,12 @@ b2:
             .target(Target::Ppc64)
             .budget(Some(5000), Some(Duration::from_secs(1)))
             .threads(4)
-            .verify(false)
             .general(GeneralOpts::none())
             .build();
         assert_eq!(c.sxe.variant, Variant::Array);
         assert_eq!(c.sxe.target, Target::Ppc64);
         assert_eq!(c.fuel, Some(5000));
         assert_eq!(c.threads, 4);
-        assert!(!c.verify);
         assert_eq!(c.general, GeneralOpts::none());
     }
 
@@ -1080,9 +980,9 @@ b2:
     fn sharded_output_is_byte_identical() {
         let src = parse_module(MULTI).unwrap();
         for v in [Variant::All, Variant::Array, Variant::FirstAlgorithm, Variant::Baseline] {
-            let seq = Compiler::for_variant(v).compile(&src);
+            let seq = Compiler::for_variant(v).try_compile(&src).expect("compiles");
             for threads in [2, 4, 8] {
-                let par = Compiler::for_variant(v).with_threads(threads).compile(&src);
+                let par = Compiler::builder(v).threads(threads).build().try_compile(&src).unwrap();
                 assert_eq!(
                     fingerprint(&seq),
                     fingerprint(&par),
@@ -1097,11 +997,26 @@ b2:
         let a = parse_module(LOOPY).unwrap();
         let b = parse_module(MULTI).unwrap();
         let sources = vec![a.clone(), b.clone(), a, b];
-        let seq = Compiler::for_variant(Variant::All).compile_batch(&sources);
-        let par = Compiler::for_variant(Variant::All).with_threads(4).compile_batch(&sources);
+        let seq = Compiler::for_variant(Variant::All).try_compile_batch(&sources).unwrap();
+        let par = Compiler::builder(Variant::All).threads(4).build();
+        let par = par.try_compile_batch(&sources).unwrap();
         assert_eq!(seq.len(), 4);
         for (s, p) in seq.iter().zip(&par) {
             assert_eq!(fingerprint(s), fingerprint(p));
+        }
+    }
+
+    #[test]
+    fn batch_returns_the_failing_modules_verify_error() {
+        let mut broken = Module::new();
+        broken.add_function(Function::new("broken", vec![], None));
+        let want = Compiler::for_variant(Variant::All).try_compile(&broken).unwrap_err();
+        assert!(matches!(want, CompileError::Verify(_)), "{want:?}");
+        let good = parse_module(MULTI).unwrap();
+        let sources = vec![good.clone(), good.clone(), broken, good];
+        for threads in [1, 4] {
+            let compiler = Compiler::builder(Variant::All).threads(threads).build();
+            assert_eq!(compiler.try_compile_batch(&sources).unwrap_err(), want, "threads={threads}");
         }
     }
 }

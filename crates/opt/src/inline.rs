@@ -143,7 +143,7 @@ b0:
 ";
 
     fn run_vm(m: &Module, arg: i64) -> Option<i64> {
-        let mut vm = sxe_vm::Vm::new(m, Target::Ia64);
+        let mut vm = sxe_vm::Vm::builder(m).target(Target::Ia64).build();
         vm.run("main", &[arg]).expect("no trap").ret
     }
 

@@ -262,7 +262,7 @@ pub enum CacheOutcome {
 /// artifact was just compiled or replayed from disk.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct CompiledArtifact {
-    /// The [`sxe_jit::artifact::artifact_key`] this artifact answers.
+    /// The [`sxe_jit::artifact::artifact_key_for`] this artifact answers.
     pub key: u64,
     /// Containment boundaries crossed during the original compile.
     pub boundaries: u64,

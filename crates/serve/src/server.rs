@@ -529,7 +529,20 @@ fn compile_one(shared: &Arc<Shared>, req: &CompileRequest) -> Response {
             panic!("injected compile panic: function {name:?}");
         }
     }
-    let compiler = Compiler::builder(req.variant).target(req.target).build();
+    let fuel = req.fuel.or(shared.config.default_fuel);
+    let time_limit = match req.timeout_ms {
+        Some(0) => None,
+        Some(ms) => Some(Duration::from_millis(ms)),
+        None => shared.config.default_time_limit,
+    };
+    // threads(1): workers are already parallel across requests, and the
+    // sequential path guarantees the response bytes are independent of
+    // the pool size. Neither knob is part of the artifact key.
+    let compiler = Compiler::builder(req.variant)
+        .target(req.target)
+        .budget(fuel, time_limit)
+        .threads(1)
+        .build();
     let key = artifact_key_for(&compiler, req.backend, &module);
     {
         let mut store = lock_ok(&shared.store);
@@ -553,16 +566,6 @@ fn compile_one(shared: &Arc<Shared>, req: &CompileRequest) -> Response {
         }
         shared.tel.metrics(|m| m.add("serve.cache.misses", 1));
     }
-    let fuel = req.fuel.or(shared.config.default_fuel);
-    let time_limit = match req.timeout_ms {
-        Some(0) => None,
-        Some(ms) => Some(Duration::from_millis(ms)),
-        None => shared.config.default_time_limit,
-    };
-    // threads(1): workers are already parallel across requests, and the
-    // sequential path guarantees the response bytes are independent of
-    // the pool size.
-    let compiler = compiler.with_budget(fuel, time_limit).with_threads(1);
     let compiled = match compiler.try_compile(&module) {
         Ok(c) => c,
         Err(e) => return Response::Error(format!("compile refused: {e}")),

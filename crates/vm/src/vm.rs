@@ -169,19 +169,6 @@ impl std::fmt::Debug for VmBuilder<'_> {
 }
 
 impl<'m> VmBuilder<'m> {
-    /// Start a builder over `module` with the default target, the
-    /// decoded engine, and [`DEFAULT_FUEL`].
-    pub fn new(module: &'m Module) -> VmBuilder<'m> {
-        VmBuilder {
-            module,
-            target: Target::default(),
-            engine: Engine::default(),
-            fuel: DEFAULT_FUEL,
-            profile: false,
-            hook: None,
-        }
-    }
-
     /// Select the execution target (load-extension behaviour).
     pub fn target(mut self, target: Target) -> VmBuilder<'m> {
         self.target = target;
@@ -444,16 +431,17 @@ impl std::fmt::Debug for Vm<'_> {
 }
 
 impl<'m> Vm<'m> {
-    /// Shorthand: the default (decoded) engine on `target` with
-    /// [`DEFAULT_FUEL`].
-    #[must_use]
-    pub fn new(module: &'m Module, target: Target) -> Vm<'m> {
-        Vm::builder(module).target(target).build()
-    }
-
-    /// Start building a VM over `module`.
+    /// Start building a VM over `module` with the default target, the
+    /// decoded engine, and [`DEFAULT_FUEL`].
     pub fn builder(module: &'m Module) -> VmBuilder<'m> {
-        VmBuilder::new(module)
+        VmBuilder {
+            module,
+            target: Target::default(),
+            engine: Engine::default(),
+            fuel: DEFAULT_FUEL,
+            profile: false,
+            hook: None,
+        }
     }
 
     /// The engine this VM runs on.
@@ -694,7 +682,7 @@ b0:
     #[test]
     fn arity_mismatch_is_a_typed_error() {
         let m = parse_module(LOOPY).unwrap();
-        let mut vm = Vm::new(&m, Target::Ia64);
+        let mut vm = Vm::builder(&m).target(Target::Ia64).build();
         let err = vm.run("main", &[1, 2]).unwrap_err();
         assert_eq!(
             err,

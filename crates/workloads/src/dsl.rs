@@ -214,7 +214,7 @@ mod tests {
         verify_function(&f).unwrap();
         let mut m = Module::new();
         m.add_function(f);
-        let mut vm = Vm::new(&m, Target::Ia64);
+        let mut vm = Vm::builder(&m).target(Target::Ia64).build();
         vm.run("main", &[]).expect("no trap").ret.expect("value")
     }
 

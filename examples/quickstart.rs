@@ -64,8 +64,8 @@ fn main() {
     println!("=== source (32-bit form) ===\n{module}");
 
     for variant in [Variant::Baseline, Variant::FirstAlgorithm, Variant::All] {
-        let compiled = Compiler::for_variant(variant).compile(&module);
-        let mut vm = Vm::new(&compiled.module, Target::Ia64);
+        let compiled = Compiler::for_variant(variant).try_compile(&module).expect("compiles");
+        let mut vm = Vm::builder(&compiled.module).target(Target::Ia64).build();
         let out = vm.run("sum", &[1000]).expect("no trap");
         println!(
             "{variant:28} static extends: {:3}   dynamic extends: {:6}   result: {:?}",

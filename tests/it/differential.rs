@@ -32,7 +32,7 @@ fn zext_elimination_preserves_semantics() {
             compile_run(&m, Variant::Baseline, Target::Ia64, "main", &[], FUEL);
         let mut compiler = Compiler::for_variant(Variant::All);
         compiler.sxe.eliminate_zext = true;
-        let compiled = compiler.compile(&m);
+        let compiled = compiler.try_compile(&m).expect("compiles");
         let mut vm =
             Vm::builder(&compiled.module).target(Target::Ia64).fuel(FUEL).build();
         let key = match vm.run("main", &[]) {
@@ -79,6 +79,27 @@ fn optimized_never_executes_more_extends() {
     }
 }
 
+/// `f0(args)` of a fixture module on the tree engine, compiled by every
+/// variant: each must agree with Baseline, whose outcome is returned.
+fn fixture_agrees_with_baseline(
+    source: &str,
+    args: &[i64],
+) -> Result<(Option<i64>, u64), Option<sxe_ir::TrapKind>> {
+    use sxe_jit::Compiler;
+    use sxe_vm::{Engine, Vm};
+    let m = sxe_ir::parse_module(source).unwrap();
+    let run = |v: Variant| {
+        let compiled = Compiler::for_variant(v).try_compile(&m).expect("compiles");
+        let mut vm = Vm::builder(&compiled.module).engine(Engine::Tree).fuel(FUEL).build();
+        vm.run("f0", args).map(|o| (o.ret, o.heap_checksum)).map_err(|e| e.trap_kind())
+    };
+    let reference = run(Variant::Baseline);
+    for v in Variant::ALL {
+        assert_eq!(run(v), reference, "{v} diverged from Baseline on f0{args:?}");
+    }
+    reference
+}
+
 /// A generated module whose `f0` divides the result of a call to an
 /// `i64`-returning function (`r1 = div.i32 r7, r4`, `r7` wide) and then
 /// compares the quotient as a 64-bit value. The call result is not
@@ -87,17 +108,22 @@ fn optimized_never_executes_more_extends() {
 /// bounds") where the Baseline compile returns.
 #[test]
 fn wide_call_result_keeps_the_division_extension() {
-    use sxe_jit::Compiler;
-    use sxe_vm::{Engine, Vm};
-    let m = sxe_ir::parse_module(include_str!("fixtures/wide-call-div.sxir")).unwrap();
-    let run = |v: Variant| {
-        let compiled = Compiler::for_variant(v).compile(&m);
-        let mut vm = Vm::builder(&compiled.module).engine(Engine::Tree).fuel(FUEL).build();
-        vm.run("f0", &[30, 2]).map(|o| (o.ret, o.heap_checksum)).map_err(|e| e.trap_kind())
-    };
-    let reference = run(Variant::Baseline);
+    let reference =
+        fixture_agrees_with_baseline(include_str!("fixtures/wide-call-div.sxir"), &[30, 2]);
     assert!(reference.is_ok(), "the Baseline compile returns: {reference:?}");
-    for v in Variant::ALL {
-        assert_eq!(run(v), reference, "{v} diverged from Baseline on f0(30, 2)");
-    }
+}
+
+/// A generated module whose `f0` passes an `i64` register to `@f3`'s two
+/// `i32` parameters (`call @f3(r5, r5)`), and `@f3` divides by its
+/// first parameter's running quotient. Narrow arguments cross a call
+/// sign-extended, so the low 32 bits of `r5` divide to zero and the
+/// second division traps. Before conversion extended such arguments,
+/// the Baseline compile divided the full 64-bit value and returned,
+/// while the insertion variants extended it inside the inlined body and
+/// trapped.
+#[test]
+fn wide_call_argument_is_extended_at_the_call() {
+    let reference =
+        fixture_agrees_with_baseline(include_str!("fixtures/wide-call-arg-div.sxir"), &[30]);
+    assert_eq!(reference, Err(Some(sxe_ir::TrapKind::DivisionByZero)));
 }

@@ -98,7 +98,7 @@ fn workloads_run_identically_native_vs_decoded() {
     for w in sxe_workloads::all() {
         let m = w.build(scaled(w.default_size));
         for variant in [Variant::Baseline, Variant::All] {
-            let compiled = Compiler::for_variant(variant).compile(&m).module;
+            let compiled = Compiler::for_variant(variant).try_compile(&m).expect("compiles").module;
             for target in Target::ALL {
                 let label = format!("{}/{variant:?}", w.name);
                 assert_native_identical(&compiled, target, WORKLOAD_FUEL, &[], &label);
@@ -112,7 +112,8 @@ fn workloads_run_identically_native_vs_decoded() {
 #[test]
 fn block_profiles_agree_native_vs_decoded() {
     let w = &sxe_workloads::all()[0];
-    let m = Compiler::for_variant(Variant::All).compile(&w.build(scaled(w.default_size))).module;
+    let source = w.build(scaled(w.default_size));
+    let m = Compiler::for_variant(Variant::All).try_compile(&source).unwrap().module;
     let mut profiles = Vec::new();
     for engine in [Engine::Decoded, Engine::Native] {
         let mut vm = Vm::builder(&m)
@@ -176,7 +177,8 @@ fn unsupported_functions_fall_back_to_decoded() {
 #[test]
 fn fuel_exhaustion_agrees_on_kind_and_fuel() {
     let w = &sxe_workloads::all()[0];
-    let m = Compiler::for_variant(Variant::All).compile(&w.build(scaled(w.default_size))).module;
+    let source = w.build(scaled(w.default_size));
+    let m = Compiler::for_variant(Variant::All).try_compile(&source).unwrap().module;
     for fuel in [100, 1_001, 10_007] {
         let decoded = observe(&m, Target::Ia64, Engine::Decoded, fuel, "main", &[]);
         let native = observe(&m, Target::Ia64, Engine::Native, fuel, "main", &[]);
@@ -197,7 +199,7 @@ fn fuzzed_modules_run_identically_native_vs_decoded() {
     let mut compared = 0u32;
     for seed in 0..200u64 {
         let raw = generate_module(seed, &config);
-        let compiled = compiler.compile(&raw).module;
+        let compiled = compiler.try_compile(&raw).expect("compiles").module;
         for (m, what) in [(&raw, "raw"), (&compiled, "compiled")] {
             for f in &m.functions {
                 let mut rng = XorShift::new(seed ^ 0x5eed_f00d);

@@ -11,6 +11,11 @@ fn workload_module() -> sxe_ir::Module {
     sxe_workloads::by_name("numeric sort").expect("known workload").build(60)
 }
 
+/// An `All` compiler recording into `tel`.
+fn traced(tel: Telemetry) -> Compiler {
+    Compiler::builder(Variant::All).telemetry(tel).build()
+}
+
 /// Everything about an event that must not depend on thread count:
 /// name, category, phase, lane, deterministic span id, and arguments.
 /// Only timestamps, durations, and thread ids may vary.
@@ -35,7 +40,8 @@ fn panicking_pass_closes_its_span_with_an_incident_tag() {
     let module = workload_module();
     // Fault-free dry run to learn the boundary count, then aim a panic
     // at a mid-pipeline boundary.
-    let boundaries = Compiler::for_variant(Variant::All).compile(&module).report.boundaries();
+    let dry = Compiler::for_variant(Variant::All).try_compile(&module).expect("compiles");
+    let boundaries = dry.report.boundaries();
     assert!(boundaries > 4, "workload should cross several boundaries");
     let plan = FaultPlan {
         seed: 7,
@@ -43,10 +49,12 @@ fn panicking_pass_closes_its_span_with_an_incident_tag() {
         ..FaultPlan::default()
     };
     let tel = Telemetry::enabled();
-    let compiled = Compiler::for_variant(Variant::All)
-        .with_telemetry(tel.clone())
-        .with_fault_plan(plan)
-        .compile(&module);
+    let compiled = Compiler::builder(Variant::All)
+        .telemetry(tel.clone())
+        .fault_plan(plan)
+        .build()
+        .try_compile(&module)
+        .expect("compiles");
 
     let rolled: Vec<_> = compiled
         .report
@@ -98,7 +106,7 @@ fn trace_merge_is_deterministic_across_thread_counts() {
             .threads(threads)
             .telemetry(tel.clone())
             .build();
-        let compiled = compiler.compile(&module);
+        let compiled = compiler.try_compile(&module).expect("compiles");
         (normalize(&tel.events_snapshot()), compiled.module.to_string())
     };
     let (seq_events, seq_module) = trace_with(1);
@@ -115,7 +123,7 @@ fn trace_merge_is_deterministic_across_thread_counts() {
 fn chrome_trace_round_trips_through_the_parser() {
     let module = workload_module();
     let tel = Telemetry::enabled();
-    let _ = Compiler::for_variant(Variant::All).with_telemetry(tel.clone()).compile(&module);
+    traced(tel.clone()).try_compile(&module).expect("compiles");
     let events = tel.events_snapshot();
     assert!(!events.is_empty());
 
@@ -145,7 +153,7 @@ fn chrome_trace_round_trips_through_the_parser() {
 fn metrics_reconcile_with_compiled_stats_and_validate() {
     let module = workload_module();
     let tel = Telemetry::enabled();
-    let compiled = Compiler::for_variant(Variant::All).with_telemetry(tel.clone()).compile(&module);
+    let compiled = traced(tel.clone()).try_compile(&module).expect("compiles");
     let m = tel.metrics_snapshot();
 
     assert_eq!(m.counter("compile.modules"), 1);
@@ -189,13 +197,10 @@ fn metrics_reconcile_with_compiled_stats_and_validate() {
 #[test]
 fn disabled_sink_leaves_compilation_untouched() {
     let module = workload_module();
-    let plain = Compiler::for_variant(Variant::All).compile(&module);
-    let disabled = Compiler::for_variant(Variant::All)
-        .with_telemetry(Telemetry::disabled())
-        .compile(&module);
+    let plain = Compiler::for_variant(Variant::All).try_compile(&module).expect("compiles");
+    let disabled = traced(Telemetry::disabled()).try_compile(&module).expect("compiles");
     let tel = Telemetry::enabled();
-    let traced =
-        Compiler::for_variant(Variant::All).with_telemetry(tel.clone()).compile(&module);
+    let traced = traced(tel.clone()).try_compile(&module).expect("compiles");
 
     // Byte-identical module text and identical stats with the sink off…
     assert_eq!(plain.module.to_string(), disabled.module.to_string());

@@ -58,7 +58,7 @@ fn workloads_run_identically_on_both_engines() {
     for w in sxe_workloads::all() {
         let m = w.build(scaled(w.default_size));
         for variant in [Variant::Baseline, Variant::All] {
-            let compiled = Compiler::for_variant(variant).compile(&m).module;
+            let compiled = Compiler::for_variant(variant).try_compile(&m).expect("compiles").module;
             for target in Target::ALL {
                 let label = format!("{}/{variant:?}", w.name);
                 assert_identical(&compiled, target, WORKLOAD_FUEL, &[], &label);
@@ -75,7 +75,7 @@ fn workloads_run_identically_on_both_engines() {
 fn fuel_cutoffs_are_bit_identical() {
     let compiler = Compiler::for_variant(Variant::All);
     for w in sxe_workloads::all().into_iter().take(4) {
-        let compiled = compiler.compile(&w.build(scaled(w.default_size))).module;
+        let compiled = compiler.try_compile(&w.build(scaled(w.default_size))).unwrap().module;
         for fuel in [0, 1, 2, 3, 4, 5, 7, 11, 100, 1_001, 10_007, 100_003] {
             assert_identical(&compiled, Target::Ia64, fuel, &[], w.name);
         }
@@ -86,7 +86,8 @@ fn fuel_cutoffs_are_bit_identical() {
 #[test]
 fn block_profiles_agree_between_engines() {
     let w = &sxe_workloads::all()[0];
-    let m = Compiler::for_variant(Variant::All).compile(&w.build(scaled(w.default_size))).module;
+    let source = w.build(scaled(w.default_size));
+    let m = Compiler::for_variant(Variant::All).try_compile(&source).unwrap().module;
     let mut profiles = Vec::new();
     for engine in [Engine::Tree, Engine::Decoded] {
         let mut vm = Vm::builder(&m)
@@ -132,7 +133,7 @@ fn fuzzed_modules_run_identically_on_both_engines() {
     let compiler = Compiler::for_variant(Variant::All);
     for seed in 0..1000u64 {
         let raw = generate_module(seed, &config);
-        let compiled = compiler.compile(&raw).module;
+        let compiled = compiler.try_compile(&raw).expect("compiles").module;
         for (m, what) in [(&raw, "raw"), (&compiled, "compiled")] {
             for f in &m.functions {
                 let mut rng = XorShift::new(seed ^ 0x5eed_f00d);

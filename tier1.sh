@@ -41,7 +41,8 @@ cargo test -q
 echo "== tier1: clippy -D warnings (touched crates)"
 cargo clippy -q -p sxe-ir -p sxe-analysis -p sxe-core -p sxe-opt -p sxe-vm \
     -p sxe-jit -p sxe-bench -p sxe-telemetry -p sxe-fuzz -p sxe-serve \
-    -p sxe-native -p xelim-integration-tests --all-targets -- -D warnings
+    -p sxe-native -p sxe-workloads -p xelim-examples -p xelim-integration-tests \
+    --all-targets -- -D warnings
 
 if [ "${1:-}" != "--fast" ]; then
     echo "== tier1: sharded determinism (threads 1 vs 4, 17 workloads)"
